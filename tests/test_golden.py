@@ -1,0 +1,136 @@
+"""Pinned SHA-256 digests of seeded outputs.
+
+Every optimisation must leave these outputs bit-identical for the same
+seeds: snapshot stacks under all four rules, the README ``simulate`` trace
+CSV, small sweep CSV/PPM files and ``verify`` reports. The digests were
+taken from the per-player cost-matrix stepper, before the decision-table
+stepper replaced it; a changed digest means a changed result.
+
+Parameters are dyadic so that many cost comparisons are exact ties and
+the tie-breaking draw order is pinned along with the costs.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from peerpressure import (
+    MainParams,
+    TieBreakStream,
+    TwoOrderParams,
+    UpdateRule,
+    build_torus_grid,
+    run,
+    sample_random_regular,
+)
+from peerpressure.cli import main
+
+from conftest import random_connected_gnp
+
+TIE_RICH_MAIN = MainParams(e_h=0.5, rho_h=0.25, rho_d=0.5)  # C = H = D at k = 2
+TIE_RICH_TWO_ORDER = TwoOrderParams(alpha1=1.0, alpha2=0.5, beta1=0.25, beta2=0.5)
+
+RULES = {
+    "main-greedy": (UpdateRule.main_greedy(), TIE_RICH_MAIN, (0, 1, 2)),
+    "main-noisy": (UpdateRule.main_noisy(0.75), TIE_RICH_MAIN, (0, 1, 2)),
+    "main-no-hypocrisy": (UpdateRule.main_no_hypocrisy(), TIE_RICH_MAIN, (0, 2)),
+    "two-order-greedy": (UpdateRule.two_order_greedy(), TIE_RICH_TWO_ORDER, (0, 1, 2, 3)),
+}
+
+GRAPHS = {
+    "torus": lambda: build_torus_grid(8, 8),
+    "regular": lambda: sample_random_regular(40, 5, np.random.default_rng(11)),
+    "gnp": lambda: random_connected_gnp(np.random.default_rng(12), 40, 0.12),
+}
+
+SNAPSHOT_DIGESTS = {
+    ("main-greedy", "torus"): "399cef049c56493e73f9d6482f6eee4376a9281194e36dd9696fa48fe405b49a",
+    ("main-greedy", "regular"): "fd04740aefb7371940b5ad80096dd539abbe984e06ae3e35eef569871e606762",
+    ("main-greedy", "gnp"): "b97fd64db7d6146e2f15f466d84804b41c2ec970d6dc072a704085d464a70749",
+    ("main-noisy", "torus"): "e45c302c028721b4fbaab7b9672b872dc71bbe5857eb42d53d9ccabbc80740c4",
+    ("main-noisy", "regular"): "50a4620fd1a4fb9e49fc61a171f38711c224bf00690196855d020aa80d0aa139",
+    ("main-noisy", "gnp"): "38124822087a734a5288de0c6af88aac7fa1c91cba85deed29dc4eaac83b010c",
+    ("main-no-hypocrisy", "torus"): "060cf9e706223774d6c9454fb4f73e1595780cb6f3b713855db699ceb298044f",
+    ("main-no-hypocrisy", "regular"): "ff4280ea23a348a2b96031bddd011a64d5ec60a545a36784fac0ef749d4e5b2f",
+    ("main-no-hypocrisy", "gnp"): "6f34c5eaed622df74595c574d7d1ac7861d674b28b6e023443bbf65475d9b3c0",
+    ("two-order-greedy", "torus"): "ed9033e9ad921d1bf7b1c2a6b51fd9c84e35dc0b5b00ff37ffa5d2c380b8bf23",
+    ("two-order-greedy", "regular"): "76b7c3449de190d66eb432ebb7296f1dd09803a603384a0241a2e0d87813ec33",
+    ("two-order-greedy", "gnp"): "769f98050dd945b3e033de4f2af8fa885db476fc04c80c0953ca0bc6b44d158e",
+}
+
+SIMULATE_DIGEST = "269f7992714fdc834b3d263ea1660b63a0cadc691a720ecf9be0311bd0c40ce1"
+
+SWEEPS = {
+    "torus-greedy": {"network": "torus", "width": 10, "height": 10,
+                     "e_h_count": 5, "rho_h_count": 4, "rho_d": 0.45, "epsilon": 0.05,
+                     "rounds": 20, "repetitions": 2, "rule": "main-greedy",
+                     "master_seed": 1},
+    "regular-noisy": {"network": "regular", "n": 30, "degree": 4,
+                      "e_h_count": 3, "rho_h_count": 3, "rho_d": 0.5, "epsilon": 0.1,
+                      "rounds": 15, "repetitions": 2, "rule": "main-noisy",
+                      "p_greedy": 0.75, "master_seed": 2},
+}
+
+SWEEP_DIGESTS = {
+    ("torus-greedy", "csv"): "555d286698064e1f224ee25529e3dc7ddd4a3c4a94bde53a831af7a0cb4d7dd5",
+    ("torus-greedy", "ppm"): "a6f4343d1b6f354716d69995088edd3411a5ff0dec17b449fc9fdd2b16700796",
+    ("regular-noisy", "csv"): "e330baf5e807e13f70394ff4d48db6bffc58134dc57aaeb0e2d7da31b6b20f73",
+    ("regular-noisy", "ppm"): "c67759ed958f847ddb2fac76a5d316fd48e0c7fb4493198c6aa5d0d2e0135b89",
+}
+
+VERIFY_DIGESTS = {
+    ("reduction", None): "f9e2de7dd8545ccef6ad69cac59a972d559f2b0e91a07a6baa9f1660d045b585",
+    ("extinction", None): "37a2dce291b0f2022fc7cf8619e87f0dd366ff41abcef64f3d1a3525961e2869",
+    ("all", 10): "4666152f9ff941a467abebf0b1123f173c7950f15fa026a11ab11781b7237197",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_digest(path) -> str:
+    with open(path, "rb") as fh:
+        return sha256(fh.read())
+
+
+@pytest.mark.parametrize("rule_name,graph_name", sorted(SNAPSHOT_DIGESTS))
+def test_snapshot_stack(rule_name, graph_name):
+    rule, params, codes = RULES[rule_name]
+    g = GRAPHS[graph_name]()
+    rng = np.random.default_rng([len(rule_name), g.vertex_count])
+    init = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
+    trace = run(g, init, params, rule, TieBreakStream(7), max_rounds=12,
+                record_snapshots=True)
+    stack = np.stack(trace.snapshots).astype(np.int8)
+    assert sha256(stack.tobytes()) == SNAPSHOT_DIGESTS[rule_name, graph_name]
+
+
+def test_readme_simulate_trace(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--torus", "50", "50", "--e-h", "0.1", "--rho-h", "0.23",
+                 "--rho-d", "0.45", "--epsilon", "0.01", "--rounds", "200",
+                 "--early-stop", "--seed", "0", "--out", str(out)]) == 0
+    assert file_digest(out) == SIMULATE_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_outputs(name, tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SWEEPS[name]))
+    prefix = tmp_path / "phase"
+    assert main(["sweep", str(config), "--out-prefix", str(prefix)]) == 0
+    for ext in ("csv", "ppm"):
+        assert file_digest(f"{prefix}.{ext}") == SWEEP_DIGESTS[name, ext], ext
+
+
+@pytest.mark.parametrize("suite,instances", sorted(VERIFY_DIGESTS, key=str))
+def test_verify_report(suite, instances, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    argv = ["verify", suite, "--seed", "5", "--out", str(out)]
+    if instances is not None:
+        argv += ["--instances", str(instances)]
+    assert main(argv) == 0
+    assert file_digest(out) == VERIFY_DIGESTS[suite, instances]
