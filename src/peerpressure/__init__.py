@@ -42,12 +42,14 @@ from .model import (
     sample_initial_two_order,
 )
 from .dynamics import (
+    DecisionTable,
     RuleKind,
     Termination,
     TieAssignment,
     TieBreakStream,
     Trace,
     UpdateRule,
+    decision_table,
     format_trace_csv,
     punishing_counts,
     run,

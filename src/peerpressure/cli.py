@@ -195,6 +195,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.instances is not None and args.instances < 1:
+        print(f"error: --instances must be positive, got {args.instances}", file=sys.stderr)
+        return 2
     names = list(SUITES) if args.suite == "all" else [args.suite]
     _print_effective_config("verify", {
         "suite": args.suite, "seed": args.seed, "instances": args.instances,
@@ -202,8 +205,9 @@ def cmd_verify(args) -> int:
     })
     lines = []
     all_ok = True
+    runs: dict = {}  # suite runs shared by several report names, this invocation only
     for name in names:
-        outcomes = SUITES[name](args.seed, args.instances)
+        outcomes = SUITES[name](args.seed, args.instances, runs)
         failed = [o for o in outcomes if not o.passed]
         all_ok = all_ok and not failed
         lines.extend(o.report_line(name) for o in outcomes)

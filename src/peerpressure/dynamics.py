@@ -27,6 +27,18 @@ fixed documented order so that equal seeds reproduce runs bit for bit:
   its behaviour is instead chosen uniformly over all available
   behaviours by rescaling the same noise draw onto (0, 1] and applying
   the sub-interval layout above.
+
+Decision table
+--------------
+A player's costs depend only on its behaviour and on ``k``, the number of
+its neighbours currently punishing, and ``k`` never exceeds the maximum
+degree. :func:`decision_table` therefore evaluates the costs once for
+every ``k`` in ``0..max_degree`` and records the first-preference cheapest
+behaviour, the number of tied cheapest behaviours and the tied behaviours
+in preference order. A round counts ``k`` for every player, looks up the
+choice, and resolves ties only for players whose ``k`` is tied. On
+networks where every vertex has the same degree ``d`` the counts are sums
+of ``d`` gathered columns in an integer type wide enough for ``d``.
 """
 
 from __future__ import annotations
@@ -175,14 +187,22 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
 
     Hypocrites and cooperators punish, defectors and private cooperators
     do not; in the main model this is exactly the non-defector neighbour
-    count.
+    count. When every vertex has degree ``d`` the counts add the ``d``
+    columns of the gathered ``(n, d)`` neighbour mask in the narrowest
+    unsigned type that holds ``d``; otherwise they come from a weighted
+    ``bincount`` as int64.
     """
     mask = (config == Behavior.HYPOCRITICAL) | (config == Behavior.COOPERATOR)
-    if network.neighbor_flat.size == 0:
-        return np.zeros(network.vertex_count, dtype=np.int64)
+    n = network.vertex_count
+    d = network.regular_degree
+    if d is not None:
+        counts = np.zeros(n, dtype=np.min_scalar_type(d))
+        for column in mask[network.neighbor_flat].reshape(n, d).T:
+            counts += column
+        return counts
     weights = mask[network.neighbor_flat].astype(np.float64)
     return np.bincount(network.neighbor_src, weights=weights,
-                       minlength=network.vertex_count).astype(np.int64)
+                       minlength=n).astype(np.int64)
 
 
 def _validate_config(config: np.ndarray, n: int, rule: UpdateRule) -> np.ndarray:
@@ -225,6 +245,41 @@ def _cost_table(k: np.ndarray, params, rule: UpdateRule) -> tuple[np.ndarray, np
     return np.array(codes, dtype=np.int8), costs
 
 
+@dataclass(frozen=True, eq=False)
+class DecisionTable:
+    """Best responses of one parameter set and rule, per punishing count k.
+
+    Row ``k`` of ``tied`` lists the behaviour codes in preference order
+    with the cheapest ones first, so ``tied[k, 0]`` is the first-preference
+    choice and ``tied[k, :n_min[k]]`` are the behaviours tied at the
+    minimum cost. ``codes`` holds the rule's behaviours in preference order.
+    """
+
+    params: MainParams | TwoOrderParams
+    rule: UpdateRule
+    codes: np.ndarray
+    choice: np.ndarray
+    n_min: np.ndarray
+    is_tied: np.ndarray
+    tied: np.ndarray
+
+
+def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
+    """Tabulate the best responses for punishing counts ``0..max_count``.
+
+    Costs are computed by the same float operations a per-player
+    evaluation would use, so table lookups reproduce exact ties.
+    """
+    _validate_params(params, rule)
+    codes, costs = _cost_table(np.arange(max_count + 1), params, rule)
+    is_min = costs == costs.min(axis=0, keepdims=True)
+    n_min = is_min.sum(axis=0)
+    # a stable sort keeps preference order within the cheapest and the rest
+    tied = codes[np.argsort(~is_min, axis=0, kind="stable")].T.copy()
+    return DecisionTable(params=params, rule=rule, codes=codes, choice=tied[:, 0].copy(),
+                         n_min=n_min, is_tied=n_min > 1, tied=tied)
+
+
 def _interval_pick(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Index of the sub-interval of [0, 1] split into m equal parts hit by r.
 
@@ -235,50 +290,59 @@ def _interval_pick(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
-         ties) -> np.ndarray:
+         ties, table: DecisionTable | None = None) -> np.ndarray:
     """One synchronous revision round; returns the next configuration.
 
-    Every player evaluates the cost of each behaviour available under
-    ``rule`` against the punishing-neighbour counts of ``config`` and
-    adopts a cheapest one, resolving exact-tie sets through ``ties`` as
-    described in the module docstring. ``ties`` is a
-    :class:`TieBreakStream` or, for greedy rules only, a
+    Every player looks up the cheapest behaviours available under
+    ``rule`` for its punishing-neighbour count in ``config`` (see
+    :func:`decision_table`) and adopts one, resolving exact-tie sets
+    through ``ties`` as described in the module docstring; tie draws are
+    taken only for players whose count is tied, in ascending index.
+    ``ties`` is a :class:`TieBreakStream` or, for greedy rules only, a
     :class:`TieAssignment`.
+
+    Without ``table`` the parameters and the configuration are validated
+    and a table is built for the network's maximum degree. A caller that
+    passes the ``table`` of ``params`` and ``rule`` vouches for a valid
+    configuration, as :func:`run` does after checking the initial one.
     """
-    _validate_params(params, rule)
-    n = network.vertex_count
-    config = _validate_config(config, n, rule)
     noisy = rule.kind is RuleKind.MAIN_NOISY
     if noisy and isinstance(ties, TieAssignment):
         raise ValueError("the noisy rule requires a TieBreakStream")
+    n = network.vertex_count
+    if table is None:
+        table = decision_table(params, rule, int(network.degrees.max(initial=0)))
+        config = _validate_config(config, n, rule)
+    elif table.params != params or table.rule != rule:
+        raise ValueError("decision table was built for other parameters or another rule")
 
     k = punishing_counts(network, config)
-    codes, costs = _cost_table(k, params, rule)
+    out = table.choice.take(k)
 
     if noisy:
         noise = ties.take_for(np.arange(n))
         random_mask = noise > rule.p_greedy
 
-    is_min = costs == costs.min(axis=0, keepdims=True)
-    n_min = is_min.sum(axis=0)
-    choice = np.argmax(is_min, axis=0)  # first minimiser in preference order
+    if table.is_tied.any():
+        tied = np.flatnonzero(table.is_tied.take(k))
+        if noisy and tied.size:
+            tied = tied[~random_mask[tied]]
+        if tied.size:
+            k_tied = k[tied]
+            picked = _interval_pick(ties.take_for(tied), table.n_min[k_tied])
+            out[tied] = table.tied[k_tied, picked]
 
-    tied = np.flatnonzero(n_min > 1)
-    if noisy and tied.size:
-        tied = tied[~random_mask[tied]]
-    if tied.size:
-        r = ties.take_for(tied)
-        m = n_min[tied]
-        picked = _interval_pick(r, m)
-        rank = np.cumsum(is_min[:, tied], axis=0)
-        choice[tied] = np.argmax(is_min[:, tied] & (rank == picked + 1), axis=0)
-
-    out = codes[choice]
     if noisy and random_mask.any():
+        codes = table.codes
         idx = np.flatnonzero(random_mask)
         rescaled = (noise[idx] - rule.p_greedy) / (1.0 - rule.p_greedy)
         out[idx] = codes[_interval_pick(rescaled, np.full(idx.shape, len(codes)))]
     return out
+
+
+def _behaviour_counts(config: np.ndarray, width: int) -> list[int]:
+    # count_nonzero per code avoids the int8 -> intp cast that bincount makes
+    return [np.count_nonzero(config == code) for code in range(width)]
 
 
 def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
@@ -286,27 +350,30 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         record_snapshots: bool = False) -> Trace:
     """Iterate :func:`step` for up to ``max_rounds`` rounds.
 
-    With ``early_stop`` the run halts as soon as the latest configuration
-    repeats the previous one (fixed point) or the one before that
-    (two-cycle); otherwise exactly ``max_rounds`` rounds are simulated,
-    which keeps round counts comparable across runs.
+    The parameters and the initial configuration are validated once and
+    one decision table serves every round; later configurations are
+    table outputs and valid by construction. With ``early_stop`` the run
+    halts as soon as the latest configuration repeats the previous one
+    (fixed point) or the one before that (two-cycle); otherwise exactly
+    ``max_rounds`` rounds are simulated, which keeps round counts
+    comparable across runs.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
     if not network.is_connected():
         raise ValueError("simulation requires a connected network")
-    _validate_params(params, rule)
+    table = decision_table(params, rule, int(network.degrees.max(initial=0)))
     config = _validate_config(initial, network.vertex_count, rule).copy()
 
     width = 4 if rule.is_two_order else 3
-    counts = [np.bincount(config, minlength=width)]
+    counts = [_behaviour_counts(config, width)]
     snapshots = [config.copy()] if record_snapshots else None
     prev = None
     termination = Termination.MAX_ROUNDS
     round_reached = max_rounds
     for t in range(1, max_rounds + 1):
-        nxt = step(network, config, params, rule, ties)
-        counts.append(np.bincount(nxt, minlength=width))
+        nxt = step(network, config, params, rule, ties, table=table)
+        counts.append(_behaviour_counts(nxt, width))
         if record_snapshots:
             snapshots.append(nxt.copy())
         if early_stop:

@@ -273,16 +273,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> PhaseDiagram:
     """
     cells = [(spec, i, j) for i in range(spec.e_h_count) for j in range(spec.rho_h_count)]
     fractions = np.zeros((spec.e_h_count, spec.rho_h_count, 3))
+
+    def collect(results) -> None:
+        for i, j, fracs in results:
+            fractions[i, j] = fracs
+
     if workers <= 1:
-        results = map(_cell_task, cells)
+        collect(map(_cell_task, cells))
     else:
-        executor = ProcessPoolExecutor(max_workers=workers)
-        chunk = max(1, len(cells) // (workers * 8))
-        results = executor.map(_cell_task, cells, chunksize=chunk)
-    for i, j, fracs in results:
-        fractions[i, j] = fracs
-    if workers > 1:
-        executor.shutdown()
+        # the pool shuts down (and its workers exit) even when a cell raises
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            chunk = max(1, len(cells) // (workers * 8))
+            collect(executor.map(_cell_task, cells, chunksize=chunk))
     return PhaseDiagram(e_h_values=spec.e_h_values(),
                         rho_h_values=spec.rho_h_values(), fractions=fractions)
 

@@ -35,6 +35,7 @@ class Network:
     _flat: np.ndarray = field(init=False, repr=False)
     _src: np.ndarray = field(init=False, repr=False)
     _degrees: np.ndarray = field(init=False, repr=False)
+    _regular_degree: int | None = field(init=False, repr=False)
     _connected: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -60,6 +61,8 @@ class Network:
         else:
             self._flat = np.zeros(0, dtype=np.int64)
         self._src = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
+        regular = n > 0 and bool((self._degrees == self._degrees[0]).all())
+        self._regular_degree = int(self._degrees[0]) if regular else None
 
     @property
     def vertex_count(self) -> int:
@@ -72,6 +75,11 @@ class Network:
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
+
+    @property
+    def regular_degree(self) -> int | None:
+        """The degree shared by every vertex; None if degrees differ or n = 0."""
+        return self._regular_degree
 
     @property
     def neighbor_flat(self) -> np.ndarray:

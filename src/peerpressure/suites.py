@@ -266,12 +266,22 @@ def odd_girth_suite(seed: int, instances: int = 100, max_n: int = 60) -> list[In
     return outcomes
 
 
+def _reduction_runs(seed: int, instances: int | None, runs: dict):
+    # reduction and extinction report on the same instances: run them once
+    if "reduction" not in runs:
+        runs["reduction"] = reduction_suite(seed, instances or 100)
+    return runs["reduction"]
+
+
+# Name -> callable(seed, instances, runs). ``instances`` is None for the
+# suite default; ``runs`` is a dict that lives for one ``verify``
+# invocation, so suites reporting on the same runs share them.
 SUITES = {
-    "contagion": lambda seed, instances: contagion_suite(seed, instances or 200),
-    "reduction": lambda seed, instances: reduction_suite(seed, instances or 100)[0],
-    "extinction": lambda seed, instances: reduction_suite(seed, instances or 100)[1],
-    "oracle": lambda seed, instances: oracle_suite(seed, instances or 1000),
-    "bounds": lambda seed, instances: bound_suite(seed, instances or 50),
-    "oscillation": lambda seed, instances: oscillation_suite(seed),
-    "odd-girth": lambda seed, instances: odd_girth_suite(seed, instances or 100),
+    "contagion": lambda seed, instances, runs: contagion_suite(seed, instances or 200),
+    "reduction": lambda seed, instances, runs: _reduction_runs(seed, instances, runs)[0],
+    "extinction": lambda seed, instances, runs: _reduction_runs(seed, instances, runs)[1],
+    "oracle": lambda seed, instances, runs: oracle_suite(seed, instances or 1000),
+    "bounds": lambda seed, instances, runs: bound_suite(seed, instances or 50),
+    "oscillation": lambda seed, instances, runs: oscillation_suite(seed),
+    "odd-girth": lambda seed, instances, runs: odd_girth_suite(seed, instances or 100),
 }

@@ -164,12 +164,42 @@ def test_verify_single_suite(tmp_path, capsys):
 def test_verify_failure_exits_one(monkeypatch, capsys):
     import peerpressure.cli as cli
 
-    fake = {"oracle": lambda seed, instances: [InstanceOutcome(0, False, "rigged")]}
+    fake = {"oracle": lambda seed, instances, runs: [InstanceOutcome(0, False, "rigged")]}
     monkeypatch.setattr(cli, "SUITES", fake)
     assert run_cli("verify", "oracle", "--seed", "0") == 1
     captured = capsys.readouterr()
     assert "suite oracle: 0/1 passed" in captured.out
     assert "verification FAILED" in captured.err
+
+
+@pytest.mark.parametrize("instances", ["-3", "0"])
+def test_verify_rejects_non_positive_instances(instances, capsys):
+    # a negative count used to print "0/0 passed" and exit 0; zero fell
+    # back to the suite default
+    assert run_cli("verify", "oracle", "--seed", "1", "--instances", instances) == 2
+    captured = capsys.readouterr()
+    assert "--instances must be positive" in captured.err
+    assert "passed" not in captured.out
+
+
+def test_verify_all_runs_the_reduction_suite_once(monkeypatch, tmp_path, capsys):
+    import peerpressure.suites as suites
+
+    calls = []
+    original = suites.reduction_suite
+
+    def counted(seed, instances):
+        calls.append((seed, instances))
+        return original(seed, instances)
+
+    monkeypatch.setattr(suites, "reduction_suite", counted)
+    report = tmp_path / "report.txt"
+    assert run_cli("verify", "all", "--seed", "3", "--instances", "4",
+                   "--out", str(report)) == 0
+    assert calls == [(3, 4)]
+    stdout = capsys.readouterr().out
+    assert "suite reduction: 4/4 passed" in stdout
+    assert "suite extinction: 4/4 passed" in stdout
 
 
 def test_verify_rejects_unknown_suite():

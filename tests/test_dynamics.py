@@ -13,6 +13,7 @@ from peerpressure import (
     TwoOrderParams,
     UpdateRule,
     build_torus_grid,
+    decision_table,
     format_trace_csv,
     punishing_counts,
     run,
@@ -344,3 +345,150 @@ def test_step_permutation_equivariance():
         out_perm = step(g_perm, config_perm, params, UpdateRule.main_greedy(),
                         TieAssignment(values_perm))
         assert np.array_equal(out_perm[perm], out)
+
+
+# ---------------------------------------------------------------------------
+# run against iterated step, and counts against a plain Python count
+# ---------------------------------------------------------------------------
+
+# Dyadic parameters tie exactly: C = H = D at k = 2 for LOW, and C = H = D
+# (= PC for the two-order model) at k = 256 for HIGH, past the uint8 range.
+LOW_TIES = (MainParams(e_h=0.5, rho_h=0.25, rho_d=0.5),
+            TwoOrderParams(alpha1=1.0, alpha2=0.5, beta1=0.25, beta2=0.5))
+HIGH_TIES = (MainParams(e_h=0.5, rho_h=2.0**-9, rho_d=2.0**-8),
+             TwoOrderParams(alpha1=0.5, alpha2=0.5, beta1=2.0**-9, beta2=2.0**-9))
+
+RULES = {
+    "main-greedy": (UpdateRule.main_greedy(), (D, H, C)),
+    "main-noisy": (UpdateRule.main_noisy(0.75), (D, H, C)),
+    "main-no-hypocrisy": (UpdateRule.main_no_hypocrisy(), (D, C)),
+    "two-order-greedy": (UpdateRule.two_order_greedy(), (D, H, C, PC)),
+}
+
+
+def _wheel(rim):
+    """A hub joined to every vertex of a cycle: hub degree ``rim``, rim degree 3."""
+    edges = ([(0, u) for u in range(1, rim + 1)]
+             + [(u, u % rim + 1) for u in range(1, rim + 1)])
+    return Network.from_edges(rim + 1, edges)
+
+
+def _complete(n):
+    return Network.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _hub_config(n):
+    # 256 cooperators at 2..257: vertex 0 (and 1 in the complete graph)
+    # sees exactly 256 punishing neighbours
+    config = np.full(n, D, dtype=np.int8)
+    config[2:258] = C
+    return config
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    from conftest import random_connected_gnp
+    from peerpressure import sample_random_regular
+
+    return {
+        "torus": build_torus_grid(6, 6),
+        "regular": sample_random_regular(30, 5, np.random.default_rng(4)),
+        "gnp": random_connected_gnp(np.random.default_rng(5), 30, 0.15),
+        "wheel": _wheel(300),
+        "complete": _complete(258),
+    }
+
+
+HIGH_DEGREE = ("wheel", "complete")
+
+
+def _case(graphs, rule_name, graph_name):
+    g = graphs[graph_name]
+    rule, codes = RULES[rule_name]
+    main, two_order = HIGH_TIES if graph_name in HIGH_DEGREE else LOW_TIES
+    params = two_order if rule.is_two_order else main
+    if graph_name in HIGH_DEGREE:
+        init = _hub_config(g.vertex_count)
+    else:
+        rng = np.random.default_rng([len(rule_name), len(graph_name)])
+        init = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
+    return g, rule, params, init
+
+
+def _python_counts(g, config):
+    return [sum(1 for v in g.adjacency[u] if config[v] in (H, C))
+            for u in range(g.vertex_count)]
+
+
+@pytest.mark.parametrize("graph_name", ["torus", "regular", "gnp", "wheel", "complete"])
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+def test_run_equals_iterated_step(graphs, rule_name, graph_name):
+    g, rule, params, init = _case(graphs, rule_name, graph_name)
+    run_ties = TieBreakStream(3)
+    trace = run(g, init, params, rule, run_ties, max_rounds=8, record_snapshots=True)
+    ties = TieBreakStream(3)
+    config = init
+    for t, snapshot in enumerate(trace.snapshots[1:], start=1):
+        config = step(g, config, params, rule, ties)
+        assert np.array_equal(config, snapshot), f"round {t}"
+    # both consumed the same number of draws
+    assert ties.draw() == run_ties.draw()
+
+
+@pytest.mark.parametrize("graph_name", ["torus", "regular", "gnp", "wheel", "complete"])
+def test_punishing_counts_match_python_count(graphs, graph_name):
+    g = graphs[graph_name]
+    regular = graph_name in ("torus", "regular", "complete")
+    assert (g.regular_degree is not None) == regular
+    rng = np.random.default_rng(9)
+    configs = [rng.integers(0, 4, size=g.vertex_count).astype(np.int8),
+               np.full(g.vertex_count, C, dtype=np.int8),
+               _hub_config(g.vertex_count)]
+    for config in configs:
+        assert punishing_counts(g, config).tolist() == _python_counts(g, config)
+
+
+def test_counts_past_255_do_not_wrap(graphs):
+    # every vertex of K_258 has 257 punishing neighbours when all cooperate
+    g = graphs["complete"]
+    counts = punishing_counts(g, np.full(258, C, dtype=np.int8))
+    assert counts.min() == counts.max() == 257
+
+
+@pytest.mark.parametrize("graph_name", HIGH_DEGREE)
+@pytest.mark.parametrize("rule_name", ["main-greedy", "main-no-hypocrisy", "two-order-greedy"])
+def test_step_matches_reference_at_high_degree(graphs, rule_name, graph_name):
+    from peerpressure import reference_step
+
+    g, rule, params, config = _case(graphs, rule_name, graph_name)
+    values = np.random.default_rng(2).random(g.vertex_count)
+    fast = step(g, config, params, rule, TieAssignment(values))
+    slow = reference_step(g, config, params, values, rule=rule)
+    assert fast.tolist() == slow
+    # vertex 0 decides a genuine tie at k = 256, where a uint8 count reads 0
+    assert punishing_counts(g, config)[0] == 256
+    assert decision_table(params, rule, 256).n_min[256] > 1
+
+
+class TestDecisionTable:
+    def test_ties_are_listed_in_preference_order(self):
+        table = decision_table(LOW_TIES[0], UpdateRule.main_greedy(), 4)
+        # k=0: D (cost 0); k=2: C = H = D at cost 1
+        assert table.choice.tolist()[:3] == [D, D, C]
+        assert table.n_min.tolist() == [1, 1, 3, 1, 1]
+        assert table.tied[2].tolist() == [C, H, D]
+
+    def test_table_must_match_params_and_rule(self, triangle, grid_params):
+        table = decision_table(grid_params, UpdateRule.main_greedy(), 2)
+        config = np.zeros(3, dtype=np.int8)
+        with pytest.raises(ValueError, match="decision table"):
+            step(triangle, config, MainParams(e_h=0.2, rho_h=0.23, rho_d=0.45),
+                 UpdateRule.main_greedy(), TieBreakStream(0), table=table)
+        with pytest.raises(ValueError, match="decision table"):
+            step(triangle, config, grid_params, UpdateRule.main_no_hypocrisy(),
+                 TieBreakStream(0), table=table)
+
+    def test_params_validated_once_in_run(self, triangle, grid_params):
+        with pytest.raises(ValueError, match="TwoOrderParams"):
+            run(triangle, np.zeros(3, dtype=np.int8), grid_params,
+                UpdateRule.two_order_greedy(), TieBreakStream(0), max_rounds=0)

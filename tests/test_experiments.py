@@ -186,6 +186,20 @@ class TestRunSweep:
         assert np.allclose(diagram.fractions.sum(axis=2), 1.0)
 
 
+    def test_failing_cell_leaves_no_worker_behind(self):
+        # no connected 1-regular graph on 4 vertices exists, so every
+        # worker's first cell raises while building the shared network
+        import multiprocessing
+
+        from peerpressure import GenerationError
+
+        spec = _tiny_spec(network=NetworkSpec(kind="regular", n=4, degree=1),
+                          e_h_count=2, rho_h_count=2, rounds=1, repetitions=1)
+        with pytest.raises(GenerationError):
+            run_sweep(spec, workers=2)
+        assert multiprocessing.active_children() == []
+
+
 class TestOutputFormats:
     def test_csv_header_and_round_trip(self):
         diagram = run_sweep(_tiny_spec(), workers=1)
