@@ -448,13 +448,6 @@ def test_punishing_counts_match_python_count(graphs, graph_name):
         assert punishing_counts(g, config).tolist() == _python_counts(g, config)
 
 
-def test_counts_past_255_do_not_wrap(graphs):
-    # every vertex of K_258 has 257 punishing neighbours when all cooperate
-    g = graphs["complete"]
-    counts = punishing_counts(g, np.full(258, C, dtype=np.int8))
-    assert counts.min() == counts.max() == 257
-
-
 @pytest.mark.parametrize("graph_name", HIGH_DEGREE)
 @pytest.mark.parametrize("rule_name", ["main-greedy", "main-no-hypocrisy", "two-order-greedy"])
 def test_step_matches_reference_at_high_degree(graphs, rule_name, graph_name):
@@ -487,8 +480,3 @@ class TestDecisionTable:
         with pytest.raises(ValueError, match="decision table"):
             step(triangle, config, grid_params, UpdateRule.main_no_hypocrisy(),
                  TieBreakStream(0), table=table)
-
-    def test_params_validated_once_in_run(self, triangle, grid_params):
-        with pytest.raises(ValueError, match="TwoOrderParams"):
-            run(triangle, np.zeros(3, dtype=np.int8), grid_params,
-                UpdateRule.two_order_greedy(), TieBreakStream(0), max_rounds=0)
