@@ -73,7 +73,6 @@ from .experiments import (
     derived_seed,
     format_sweep_csv,
     render_ppm,
-    rule_from_name,
     run_sweep,
     run_time_evolution,
     write_ppm,

@@ -97,10 +97,9 @@ def audit_convergence_bound(network: Network, metrics: GraphMetrics, trace: Trac
 
 def neighborhood(network: Network, vertices: set[int]) -> set[int]:
     """Union of the neighbour sets of ``vertices``."""
-    out: set[int] = set()
-    for u in vertices:
-        out.update(network.adjacency[u])
-    return out
+    chosen = np.zeros(network.vertex_count, dtype=bool)
+    chosen[list(vertices)] = True
+    return set(network.indices[chosen[network.neighbor_src]].tolist())
 
 
 def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
@@ -188,7 +187,7 @@ def reference_step(network: Network, config, params, tie_assignment,
     result = []
     for u in range(n):
         k = 0
-        for v in network.adjacency[u]:
+        for v in network.neighbors(u):
             if config[v] in punishes:
                 k += 1
         options: list[tuple[int, float]] = []

@@ -26,12 +26,11 @@ from .model import (
     classify_two_order_conditions,
     params_to_dict,
 )
-from .dynamics import RuleKind, write_trace_csv
+from .dynamics import RuleKind, UpdateRule, write_trace_csv
 from .experiments import (
     NetworkSpec,
     SweepSpec,
     derived_seed,
-    rule_from_name,
     run_sweep,
     run_time_evolution,
     write_ppm,
@@ -108,13 +107,13 @@ def _simulate_params(args) -> MainParams | TwoOrderParams:
 
 def cmd_simulate(args) -> int:
     if args.noisy is not None:
-        rule = rule_from_name("main-noisy", args.noisy)
+        rule = UpdateRule.main_noisy(args.noisy)
     elif args.no_hypocrisy:
-        rule = rule_from_name("main-no-hypocrisy")
+        rule = UpdateRule.main_no_hypocrisy()
     elif args.two_order:
-        rule = rule_from_name("two-order-greedy")
+        rule = UpdateRule.two_order_greedy()
     else:
-        rule = rule_from_name("main-greedy")
+        rule = UpdateRule.main_greedy()
 
     try:
         params = _simulate_params(args)

@@ -197,10 +197,10 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     d = network.regular_degree
     if d is not None:
         counts = np.zeros(n, dtype=np.min_scalar_type(d))
-        for column in mask[network.neighbor_flat].reshape(n, d).T:
+        for column in mask[network.indices].reshape(n, d).T:
             counts += column
         return counts
-    weights = mask[network.neighbor_flat].astype(np.float64)
+    weights = mask[network.indices].astype(np.float64)
     return np.bincount(network.neighbor_src, weights=weights,
                        minlength=n).astype(np.int64)
 

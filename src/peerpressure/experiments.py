@@ -9,6 +9,7 @@ for sweeps, independent of how many workers execute the cells.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -55,21 +56,6 @@ class NetworkSpec:
         if self.kind == "torus":
             return f"torus:{self.width}x{self.height}"
         return f"regular:n={self.n},d={self.degree}"
-
-
-_RULE_NAMES = {
-    "main-greedy": UpdateRule.main_greedy,
-    "main-no-hypocrisy": UpdateRule.main_no_hypocrisy,
-    "two-order-greedy": UpdateRule.two_order_greedy,
-}
-
-
-def rule_from_name(name: str, p_greedy: float = 0.95) -> UpdateRule:
-    if name == "main-noisy":
-        return UpdateRule.main_noisy(p_greedy)
-    if name in _RULE_NAMES:
-        return _RULE_NAMES[name]()
-    raise ValueError(f"unknown rule {name!r}")
 
 
 def _initial_sampler(rule: UpdateRule):
@@ -188,8 +174,9 @@ class SweepSpec:
             width=int(record.pop("width", 0)), height=int(record.pop("height", 0)),
             n=int(record.pop("n", 0)), degree=int(record.pop("degree", 0)),
         )
-        rule = rule_from_name(record.pop("rule", "main-greedy"),
-                              float(record.pop("p_greedy", 0.95)))
+        kind = RuleKind(record.pop("rule", RuleKind.MAIN_GREEDY.value))
+        default_p = 0.95 if kind is RuleKind.MAIN_NOISY else 1.0
+        rule = UpdateRule(kind, float(record.pop("p_greedy", default_p)))
         known = {
             "e_h_count": int, "rho_h_count": int, "rho_d": float, "epsilon": float,
             "rounds": int, "repetitions": int, "master_seed": int,
@@ -227,17 +214,10 @@ class PhaseDiagram:
             raise ValueError("behaviour fractions must sum to 1 per cell")
 
 
-_network_cache: dict = {}
-
-
-def _shared_network(spec: SweepSpec) -> Network:
-    # One network for the whole sweep; cached per process.
-    key = (spec.network, spec.master_seed)
-    net = _network_cache.get(key)
-    if net is None:
-        net = spec.network.build(derived_seed(spec.master_seed))
-        _network_cache[key] = net
-    return net
+@functools.lru_cache(maxsize=1)
+def _shared_network(network: NetworkSpec, master_seed: int) -> Network:
+    # One network for the whole sweep, built once per process.
+    return network.build(derived_seed(master_seed))
 
 
 def _run_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
@@ -249,7 +229,7 @@ def _run_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
         if spec.fresh_network_per_repetition:
             network = spec.network.build(derived_seed(spec.master_seed, i, j, rep, 0))
         else:
-            network = _shared_network(spec)
+            network = _shared_network(spec.network, spec.master_seed)
         n = network.vertex_count
         init = sampler(n, spec.epsilon,
                        np.random.default_rng(derived_seed(spec.master_seed, i, j, rep, 1)))

@@ -1,11 +1,13 @@
 """Simple undirected networks: construction, sampling, and structural metrics.
 
-Vertices are integers ``0..n-1``. A :class:`Network` stores sorted adjacency
-lists and rejects self-loops, duplicate edges and asymmetric input. Two
-generators are provided: a wrap-around grid where every vertex has exactly
-four neighbours, and a random d-regular sampler that pairs deficient
-vertices uniformly at random until no legal pair remains, discarding the
-few left-over vertices so the result is d-regular by construction.
+Vertices are integers ``0..n-1``. A :class:`Network` is held in compressed
+sparse row form only: row offsets ``indptr`` and the concatenated, sorted
+neighbour lists ``indices``. Construction rejects self-loops, duplicate
+edges and asymmetric input with array operations. Two generators are
+provided: a wrap-around grid where every vertex has exactly four
+neighbours, and a random d-regular sampler that pairs deficient vertices
+uniformly at random until no legal pair remains, discarding the few
+left-over vertices so the result is d-regular by construction.
 """
 
 from __future__ import annotations
@@ -21,56 +23,69 @@ class GenerationError(RuntimeError):
 
 @dataclass(eq=False)
 class Network:
-    """Undirected simple graph held as sorted adjacency lists.
+    """Undirected simple graph in compressed sparse row (CSR) form.
 
     Parameters
     ----------
-    adjacency : list[list[int]]
-        ``adjacency[u]`` lists the neighbours of ``u``. Must be symmetric,
-        without self-loops or repeated entries. Lists are sorted on
-        construction so that equal graphs have identical representations.
+    indptr : array of int, length n + 1
+        Row offsets: the neighbours of ``u`` are
+        ``indices[indptr[u]:indptr[u + 1]]``. Must start at 0, never
+        decrease and end at ``len(indices)``.
+    indices : array of int
+        All neighbour lists concatenated. Must be symmetric, without
+        self-loops or repeated entries. Rows are sorted on construction so
+        that equal graphs have identical arrays.
     """
 
-    adjacency: list[list[int]]
-    _flat: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray
+    indices: np.ndarray
     _src: np.ndarray = field(init=False, repr=False)
     _degrees: np.ndarray = field(init=False, repr=False)
     _regular_degree: int | None = field(init=False, repr=False)
     _connected: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.adjacency)
-        seen = [set() for _ in range(n)]
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if not 0 <= v < n:
-                    raise ValueError(f"neighbour {v} of vertex {u} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if v in seen[u]:
-                    raise ValueError(f"duplicate edge ({u}, {v})")
-                seen[u].add(v)
-        for u in range(n):
-            for v in seen[u]:
-                if u not in seen[v]:
-                    raise ValueError(f"asymmetric edge ({u}, {v})")
-        self.adjacency = [sorted(nbrs) for nbrs in self.adjacency]
-        self._degrees = np.array([len(a) for a in self.adjacency], dtype=np.int64)
-        if n and self._degrees.sum():
-            self._flat = np.concatenate([np.asarray(a, dtype=np.int64) for a in self.adjacency])
-        else:
-            self._flat = np.zeros(0, dtype=np.int64)
-        self._src = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
-        regular = n > 0 and bool((self._degrees == self._degrees[0]).all())
-        self._regular_degree = int(self._degrees[0]) if regular else None
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
+        if (indptr.ndim != 1 or indices.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+                or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any()):
+            raise ValueError("indptr must start at 0, never decrease and end at len(indices)")
+        n = indptr.size - 1
+        degrees = indptr[1:] - indptr[:-1]
+        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        bad = np.flatnonzero((indices < 0) | (indices >= n))
+        if bad.size:
+            raise ValueError(f"neighbour {indices[bad[0]]} of vertex {src[bad[0]]} out of range")
+        loops = np.flatnonzero(indices == src)
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {src[loops[0]]}")
+        # One sort orders every row (src is already non-decreasing) and
+        # brings repeated neighbours side by side.
+        row_base = src * n
+        keys = np.sort(row_base + indices)
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            u, v = divmod(int(keys[dup[0]]), n)
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        # Symmetric exactly when the reversed arcs are the same set.
+        reverse = np.sort(indices * n + src)
+        if not np.array_equal(keys, reverse):
+            u, v = divmod(int(np.setdiff1d(keys, reverse, assume_unique=True)[0]), n)
+            raise ValueError(f"asymmetric edge ({u}, {v})")
+        self.indptr = indptr
+        self.indices = keys - row_base
+        self._src = src
+        self._degrees = degrees
+        regular = n > 0 and bool((degrees == degrees[0]).all())
+        self._regular_degree = int(degrees[0]) if regular else None
 
     @property
     def vertex_count(self) -> int:
-        return len(self.adjacency)
+        return self.indptr.size - 1
 
     @property
     def edge_count(self) -> int:
-        return int(self._degrees.sum()) // 2
+        return self.indices.size // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -82,18 +97,18 @@ class Network:
         return self._regular_degree
 
     @property
-    def neighbor_flat(self) -> np.ndarray:
-        """All neighbour lists concatenated; pairs with :attr:`neighbor_src`."""
-        return self._flat
-
-    @property
     def neighbor_src(self) -> np.ndarray:
-        """Source vertex of each entry in :attr:`neighbor_flat`."""
+        """Source vertex of each entry in :attr:`indices`."""
         return self._src
+
+    def neighbors(self, u: int) -> list[int]:
+        """The sorted neighbours of ``u`` as a plain list."""
+        return self.indices[self.indptr[u]:self.indptr[u + 1]].tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
+        keep = self._src < self.indices
+        return list(zip(self._src[keep].tolist(), self.indices[keep].tolist()))
 
     def is_connected(self) -> bool:
         if self._connected is None:
@@ -105,14 +120,18 @@ class Network:
         return self._connected
 
     @classmethod
-    def from_edges(cls, n: int, edges: list[tuple[int, int]]) -> "Network":
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        return cls(adjacency)
+    def from_edges(cls, n: int, edges) -> "Network":
+        """Network on ``n`` vertices from ``m`` edges, an ``(m, 2)`` array or a list of pairs."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            u, v = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        # Both arcs of every edge, grouped by source; rows are sorted later.
+        src = edges.ravel()
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(indptr, edges[:, ::-1].ravel()[order])
 
 
 @dataclass(frozen=True)
@@ -149,16 +168,12 @@ def build_torus_grid(width: int, height: int) -> Network:
     """
     if width < 3 or height < 3:
         raise ValueError(f"torus dimensions must be >= 3, got {width}x{height}")
-    adjacency = []
-    for y in range(height):
-        for x in range(width):
-            adjacency.append([
-                (x + 1) % width + y * width,
-                (x - 1) % width + y * width,
-                x + ((y + 1) % height) * width,
-                x + ((y - 1) % height) * width,
-            ])
-    return Network(adjacency)
+    x = np.tile(np.arange(width, dtype=np.int64), height)
+    row = np.repeat(np.arange(height, dtype=np.int64) * width, width)
+    n = width * height
+    columns = np.stack([(x + 1) % width + row, (x - 1) % width + row,
+                        (row + width) % n + x, (row - width) % n + x], axis=1)
+    return Network(np.arange(0, 4 * n + 1, 4), columns.ravel())
 
 
 def sample_random_regular(n: int, d: int, rng: np.random.Generator,
@@ -232,8 +247,9 @@ def _try_pairing(n: int, d: int, rng: np.random.Generator) -> Network | None:
         alive = [u for u in alive if u not in set(leftovers)]
         if len(alive) <= d:
             return None
-    relabel = {u: i for i, u in enumerate(alive)}
-    return Network([[relabel[v] for v in sorted(neighbors[u])] for u in alive])
+    # Survivors keep their order, renumbered 0..len(alive)-1.
+    edges = [(u, v) for u in alive for v in neighbors[u] if u < v]
+    return Network.from_edges(len(alive), np.searchsorted(alive, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +264,16 @@ def bfs_distances(network: Network, source: int) -> np.ndarray:
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
-    offsets = np.concatenate([[0], np.cumsum(network.degrees)])
-    flat = network.neighbor_flat
+    indptr, indices = network.indptr, network.indices
     while frontier.size:
-        starts = offsets[frontier]
-        lens = offsets[frontier + 1] - starts
+        starts = indptr[frontier]
+        lens = indptr[frontier + 1] - starts
         total = int(lens.sum())
         if total == 0:
             break
         # gather all neighbours of the frontier in one shot
         idx = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens) + np.repeat(starts, lens)
-        nbrs = flat[idx]
+        nbrs = indices[idx]
         fresh = np.unique(nbrs[dist[nbrs] < 0])
         level += 1
         dist[fresh] = level
@@ -285,7 +300,7 @@ def compute_metrics(network: Network) -> GraphMetrics:
 
     color = _two_coloring(network)
     edge_u = network.neighbor_src
-    edge_v = network.neighbor_flat
+    edge_v = network.indices
     bipartite = bool(np.all(color[edge_u] != color[edge_v])) if edge_u.size else True
 
     diameter = 0
@@ -338,7 +353,14 @@ def read_edge_list(path: str) -> Network:
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing header")
     n, m = int(tokens[0]), int(tokens[1])
+    if n < 0 or m < 0:
+        raise ValueError(f"{path}: header gives negative counts n={n}, m={m}")
+    if len(tokens) % 2:
+        raise ValueError(f"{path}: odd number of edge endpoints ({len(tokens) - 2})")
     if len(tokens) != 2 + 2 * m:
         raise ValueError(f"{path}: expected {m} edges, found {(len(tokens) - 2) // 2}")
-    edges = [(int(tokens[2 + 2 * i]), int(tokens[3 + 2 * i])) for i in range(m)]
+    try:
+        edges = np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
+    except OverflowError:
+        raise ValueError(f"{path}: edge endpoint out of range for n={n}") from None
     return Network.from_edges(n, edges)

@@ -66,9 +66,7 @@ def _random_gnp(rng: np.random.Generator, n: int, p: float | None = None) -> Net
     if p is None:
         p = min(1.0, (np.log(max(n, 2)) + 1.0) / max(n - 1, 1))
     while True:
-        upper = np.triu(rng.random((n, n)) < p, k=1)
-        edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
-        g = Network.from_edges(n, edges)
+        g = Network.from_edges(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
         if g.is_connected():
             return g
 

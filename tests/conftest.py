@@ -27,6 +27,11 @@ def naive_bfs(adjacency, source):
     return dist
 
 
+def adjacency_lists(network):
+    """Plain neighbour lists of a network, read one vertex at a time."""
+    return [network.neighbors(u) for u in range(network.vertex_count)]
+
+
 def naive_diameter(adjacency):
     n = len(adjacency)
     best = 0

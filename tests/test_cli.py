@@ -150,6 +150,19 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
     assert "invalid sweep config" in capsys.readouterr().err
 
 
+def test_sweep_rejects_p_greedy_for_greedy_rule(tmp_path, capsys):
+    # p_greedy belongs to the noisy rule only; it must not vanish silently
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"network": "torus", "width": 5, "height": 5,
+                               "e_h_count": 2, "rho_h_count": 2, "rho_d": 0.5,
+                               "epsilon": 0.2, "rounds": 4, "repetitions": 2,
+                               "master_seed": 9, "rule": "main-greedy", "p_greedy": 0.3}))
+    assert run_cli("sweep", str(cfg), "--out-prefix", str(tmp_path / "p")) == 2
+    captured = capsys.readouterr()
+    assert "p_greedy is only meaningful for the noisy rule" in captured.err
+    assert "effective-config" not in captured.out
+
+
 def test_verify_single_suite(tmp_path, capsys):
     report = tmp_path / "report.txt"
     code = run_cli("verify", "oracle", "--seed", "23", "--instances", "40",

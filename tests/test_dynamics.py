@@ -333,10 +333,7 @@ def test_step_permutation_equivariance():
         config = rng.integers(0, 3, size=n).astype(np.int8)
         values = rng.random(n)
         perm = rng.permutation(n)
-        adjacency = [[] for _ in range(n)]
-        for u, nbrs in enumerate(g.adjacency):
-            adjacency[perm[u]] = sorted(int(perm[v]) for v in nbrs)
-        g_perm = Network(adjacency)
+        g_perm = Network.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
         config_perm = np.empty(n, dtype=np.int8)
         config_perm[perm] = config
         values_perm = np.empty(n)
@@ -416,7 +413,7 @@ def _case(graphs, rule_name, graph_name):
 
 
 def _python_counts(g, config):
-    return [sum(1 for v in g.adjacency[u] if config[v] in (H, C))
+    return [sum(1 for v in g.neighbors(u) if config[v] in (H, C))
             for u in range(g.vertex_count)]
 
 

@@ -7,12 +7,12 @@ from peerpressure import (
     MainParams,
     NetworkSpec,
     PhaseDiagram,
+    RuleKind,
     SweepSpec,
     UpdateRule,
     derived_seed,
     format_sweep_csv,
     render_ppm,
-    rule_from_name,
     run_sweep,
     run_time_evolution,
 )
@@ -43,12 +43,22 @@ class TestNetworkSpec:
 
 
 def test_rule_from_name():
-    assert rule_from_name("main-greedy") == UpdateRule.main_greedy()
-    assert rule_from_name("main-no-hypocrisy") == UpdateRule.main_no_hypocrisy()
-    assert rule_from_name("two-order-greedy") == UpdateRule.two_order_greedy()
-    assert rule_from_name("main-noisy", 0.8) == UpdateRule.main_noisy(0.8)
-    with pytest.raises(ValueError, match="unknown rule"):
-        rule_from_name("bogus")
+    # rule names are the RuleKind values, in code and in sweep records
+    assert UpdateRule(RuleKind("main-no-hypocrisy")) == UpdateRule.main_no_hypocrisy()
+    assert UpdateRule(RuleKind("two-order-greedy")) == UpdateRule.two_order_greedy()
+
+    def from_record(**fields):
+        return SweepSpec.from_dict({**_tiny_spec().to_dict(), **fields}).rule
+
+    assert from_record(rule="main-greedy") == UpdateRule.main_greedy()
+    assert from_record(rule="main-noisy") == UpdateRule.main_noisy(0.95)
+    assert from_record(rule="main-noisy", p_greedy=0.8) == UpdateRule.main_noisy(0.8)
+    with pytest.raises(ValueError, match="bogus"):
+        from_record(rule="bogus")
+    with pytest.raises(ValueError, match="main-model"):
+        from_record(rule="two-order-greedy")
+    with pytest.raises(ValueError, match="p_greedy is only meaningful"):
+        from_record(rule="main-greedy", p_greedy=0.3)
 
 
 def test_derived_seed_paths_are_distinct_and_stable():
@@ -76,7 +86,7 @@ class TestRunTimeEvolution:
                                    UpdateRule.main_greedy(), 0, 1)
         g2, _ = run_time_evolution(spec, grid_params, 0.1,
                                    UpdateRule.main_greedy(), 1, 1)
-        assert g1.adjacency != g2.adjacency
+        assert g1.edges() != g2.edges()
 
     def test_prebuilt_network_is_reused(self, torus5, grid_params):
         net, trace = run_time_evolution(torus5, grid_params, 0.1,

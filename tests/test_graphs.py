@@ -1,5 +1,7 @@
 """Networks, generators, metrics, and the edge-list format."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from peerpressure import (
     write_edge_list,
 )
 from conftest import (
+    adjacency_lists,
     double_cover_odd_girth,
     naive_bfs,
     naive_diameter,
@@ -25,28 +28,50 @@ from conftest import (
 
 class TestNetworkValidation:
     def test_rejects_out_of_range_neighbor(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Network([[1], [0, 5]])
+        with pytest.raises(ValueError, match="neighbour 5 of vertex 1 out of range"):
+            Network([0, 1, 3], [1, 0, 5])
+        with pytest.raises(ValueError, match="neighbour -1 of vertex 0 out of range"):
+            Network([0, 1, 2], [-1, 0])
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            Network([[0]])
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            Network([0, 1], [0])
 
     def test_rejects_duplicate_edge(self):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            Network([0, 2, 4], [1, 1, 0, 0])
         with pytest.raises(ValueError, match="duplicate"):
-            Network([[1, 1], [0, 0]])
+            Network.from_edges(2, [(0, 1), (1, 0)])
 
     def test_rejects_asymmetric_input(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            Network([[1], []])
+        for indptr, indices, edge in [
+            ([0, 1, 1], [1], "(0, 1)"),           # 0 lists 1, 1 lists nothing
+            ([0, 0, 1], [0], "(1, 0)"),           # 1 lists 0, 0 lists nothing
+            ([0, 1, 2, 3], [1, 2, 0], "(0, 1)"),  # a directed triangle
+        ]:
+            with pytest.raises(ValueError, match=f"asymmetric edge {re.escape(edge)}"):
+                Network(indptr, indices)
+
+    @pytest.mark.parametrize("indptr, indices", [
+        ([1, 2, 2], [1, 0]),     # does not start at 0
+        ([0, 2, 1, 2], [1, 0]),  # decreases
+        ([0, 1, 2], [1, 0, 1]),  # last entry is not len(indices)
+        ([], []),                # no entry for n = 0
+    ])
+    def test_rejects_malformed_indptr(self, indptr, indices):
+        with pytest.raises(ValueError, match="indptr"):
+            Network(indptr, indices)
 
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Network.from_edges(2, [(0, 2)])
+        with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range"):
+            Network.from_edges(2, [(0, 1), (-1, 0)])
 
     def test_sorts_adjacency(self):
-        g = Network([[2, 1], [0], [0]])
-        assert g.adjacency[0] == [1, 2]
+        g = Network([0, 2, 3, 4], [2, 1, 0, 0])
+        assert g.neighbors(0) == [1, 2]
+        assert g.indices.tolist() == [1, 2, 0, 0]
 
 
 def test_basic_counts_and_edges(triangle):
@@ -57,9 +82,11 @@ def test_basic_counts_and_edges(triangle):
 
 
 def test_flat_neighbor_arrays(path3):
-    # neighbor_flat concatenates adjacency lists; neighbor_src labels each entry
-    assert path3.neighbor_flat.tolist() == [1, 0, 2, 1]
+    # indices concatenates the neighbour lists; neighbor_src labels each entry
+    assert path3.indptr.tolist() == [0, 1, 3, 4]
+    assert path3.indices.tolist() == [1, 0, 2, 1]
     assert path3.neighbor_src.tolist() == [0, 1, 1, 2]
+    assert [path3.neighbors(u) for u in range(3)] == [[1], [0, 2], [1]]
 
 
 def test_is_connected():
@@ -68,7 +95,7 @@ def test_is_connected():
 
 
 def test_single_vertex_is_connected():
-    assert Network([[]]).is_connected()
+    assert Network([0, 0], []).is_connected()
 
 
 class TestTorus:
@@ -81,7 +108,16 @@ class TestTorus:
     def test_neighbors_of_origin(self):
         g = build_torus_grid(4, 3)
         # (0, 0) touches (1,0), (3,0), (0,1), (0,2)
-        assert g.adjacency[0] == [1, 3, 4, 8]
+        assert g.neighbors(0) == [1, 3, 4, 8]
+
+    @pytest.mark.parametrize("w, h", [(3, 3), (3, 7), (6, 4)])
+    def test_equals_listed_edges(self, w, h):
+        # each vertex (x, y) joined to its right and lower neighbour
+        edges = [(x + y * w, (x + 1) % w + y * w) for y in range(h) for x in range(w)]
+        edges += [(x + y * w, x + (y + 1) % h * w) for y in range(h) for x in range(w)]
+        g, want = build_torus_grid(w, h), Network.from_edges(w * h, edges)
+        assert g.indptr.tolist() == want.indptr.tolist()
+        assert g.indices.tolist() == want.indices.tolist()
 
     @given(w=st.integers(3, 10), h=st.integers(3, 10))
     @settings(max_examples=25, deadline=None)
@@ -122,7 +158,8 @@ class TestRandomRegular:
     def test_deterministic_given_rng_state(self):
         a = sample_random_regular(30, 4, np.random.default_rng(11))
         b = sample_random_regular(30, 4, np.random.default_rng(11))
-        assert a.adjacency == b.adjacency
+        assert a.indptr.tolist() == b.indptr.tolist()
+        assert a.indices.tolist() == b.indices.tolist()
 
     def test_impossible_target_raises(self):
         # d=1 on four vertices always yields two disjoint edges
@@ -142,7 +179,7 @@ def test_bfs_matches_naive_oracle():
         n = int(rng.integers(2, 40))
         g = random_connected_gnp(rng, n, float(rng.uniform(0.1, 0.6)))
         s = int(rng.integers(0, n))
-        want = naive_bfs(g.adjacency, s)
+        want = naive_bfs(adjacency_lists(g), s)
         got = bfs_distances(g, s)
         assert all(got[v] == want[v] for v in range(n))
 
@@ -159,7 +196,7 @@ class TestMetrics:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            compute_metrics(Network([]))
+            compute_metrics(Network([0], []))
 
     def test_odd_cycle(self):
         m = compute_metrics(Network.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
@@ -184,7 +221,7 @@ class TestMetrics:
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_connected_gnp(rng, int(rng.integers(3, 30)), 0.25)
-            assert compute_metrics(g).diameter == naive_diameter(g.adjacency)
+            assert compute_metrics(g).diameter == naive_diameter(adjacency_lists(g))
 
     def test_odd_girth_matches_double_cover_oracle(self):
         rng = np.random.default_rng(8)
@@ -202,7 +239,7 @@ def test_edge_list_round_trip(tmp_path, torus5):
     path = str(tmp_path / "g.edges")
     write_edge_list(torus5, path)
     back = read_edge_list(path)
-    assert back.adjacency == torus5.adjacency
+    assert adjacency_lists(back) == adjacency_lists(torus5)
     first = open(path, encoding="ascii").readline()
     assert first == "25 50\n"
 
@@ -211,17 +248,23 @@ def test_edge_list_tolerates_whitespace(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("3  2\n0 1\n\n  1   2 \n")
     g = read_edge_list(str(path))
-    assert g.adjacency == [[1], [0, 2], [1]]
+    assert adjacency_lists(g) == [[1], [0, 2], [1]]
 
 
 def test_edge_list_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.edges"
-    bad.write_text("")
-    with pytest.raises(ValueError, match="header"):
-        read_edge_list(str(bad))
-    bad.write_text("3 2\n0 1\n")
-    with pytest.raises(ValueError, match="expected 2 edges"):
-        read_edge_list(str(bad))
+    for text, message in [
+        ("", "missing header"),
+        ("3 2\n0 1\n", "expected 2 edges, found 1"),
+        ("-5 0\n", "negative counts n=-5, m=0"),
+        ("3 -1\n", "negative counts n=3, m=-1"),
+        ("3 1\n0 1 extra\n", r"odd number of edge endpoints \(3\)"),
+        ("3 1\n0 3\n", "out of range"),
+        ("3 1\n0 99999999999999999999\n", "out of range"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_edge_list(str(bad))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -231,4 +274,4 @@ def test_random_graph_edge_list_round_trip(tmp_path_factory, seed):
     g = random_connected_gnp(rng, int(rng.integers(2, 25)), 0.3)
     path = str(tmp_path_factory.mktemp("edges") / "g.edges")
     write_edge_list(g, path)
-    assert read_edge_list(path).adjacency == g.adjacency
+    assert adjacency_lists(read_edge_list(path)) == adjacency_lists(g)
