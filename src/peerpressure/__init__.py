@@ -32,7 +32,6 @@ from .model import (
     classify_two_order_conditions,
     cost_main,
     cost_two_order,
-    load_params,
     map_configuration,
     map_two_order_params,
     params_from_dict,

@@ -20,10 +20,13 @@ import numpy as np
 
 from .graphs import GenerationError, compute_metrics, read_edge_list, write_edge_list
 from .model import (
+    MAIN_KEYS,
+    TWO_ORDER_KEYS,
     MainParams,
     TwoOrderParams,
     classify_main_conditions,
     classify_two_order_conditions,
+    params_from_dict,
     params_to_dict,
 )
 from .dynamics import RuleKind, UpdateRule, write_trace_csv
@@ -43,6 +46,14 @@ from .suites import SUITES
 def _print_effective_config(command: str, settings: dict) -> None:
     payload = {"command": command, **settings}
     print("effective-config: " + json.dumps(payload, sort_keys=True))
+
+
+def _read_json_object(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a flat JSON object")
+    return record
 
 
 def _network_spec_from_args(args) -> NetworkSpec | None:
@@ -86,25 +97,6 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_params(args) -> MainParams | TwoOrderParams:
-    record: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config}: expected a flat JSON object")
-        record.update(loaded)
-    for key in ("e_h", "rho_h", "rho_d", "alpha1", "alpha2", "beta1", "beta2"):
-        value = getattr(args, key)
-        if value is not None:
-            record[key] = value
-    record.pop("epsilon", None)
-    if args.two_order:
-        return TwoOrderParams(**{k: float(record[k])
-                                 for k in ("alpha1", "alpha2", "beta1", "beta2")})
-    return MainParams(**{k: float(record[k]) for k in ("e_h", "rho_h", "rho_d")})
-
-
 def cmd_simulate(args) -> int:
     if args.noisy is not None:
         rule = UpdateRule.main_noisy(args.noisy)
@@ -115,12 +107,12 @@ def cmd_simulate(args) -> int:
     else:
         rule = UpdateRule.main_greedy()
 
-    try:
-        params = _simulate_params(args)
-    except (KeyError, ValueError) as exc:
-        missing = f"missing parameter {exc}" if isinstance(exc, KeyError) else str(exc)
-        print(f"error: {missing}", file=sys.stderr)
-        return 2
+    # config file first, flags given on the command line win
+    record = _read_json_object(args.config) if args.config else {}
+    flags = vars(args)
+    record.update({k: flags[k] for k in MAIN_KEYS + TWO_ORDER_KEYS if flags[k] is not None})
+    params = params_from_dict(record)
+    rule.check_params(params)
 
     spec = _network_spec_from_args(args)
     if spec is not None:
@@ -167,12 +159,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        print(f"error: --workers must be positive, got {args.workers}", file=sys.stderr)
+        return 2
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        if not isinstance(record, dict):
-            raise ValueError(f"{args.config}: expected a flat JSON object")
-        spec = SweepSpec.from_dict(record)
+        spec = SweepSpec.from_dict(_read_json_object(args.config))
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: invalid sweep config: {exc}", file=sys.stderr)
         return 2
@@ -252,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--no-hypocrisy", action="store_true")
     mode.add_argument("--two-order", action="store_true")
     p_sim.add_argument("--config", help="flat JSON file with model parameters")
-    for key in ("e_h", "rho_h", "rho_d", "alpha1", "alpha2", "beta1", "beta2"):
+    for key in MAIN_KEYS + TWO_ORDER_KEYS:
         p_sim.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     p_sim.add_argument("--epsilon", type=float, default=0.01)
     p_sim.add_argument("--rounds", type=int, default=20)

@@ -32,8 +32,10 @@ Decision table
 --------------
 A player's costs depend only on its behaviour and on ``k``, the number of
 its neighbours currently punishing, and ``k`` never exceeds the maximum
-degree. :func:`decision_table` therefore evaluates the costs once for
-every ``k`` in ``0..max_degree`` and records the first-preference cheapest
+degree. :func:`decision_table` therefore evaluates the model's cost
+functions (:func:`~peerpressure.model.cost_main`,
+:func:`~peerpressure.model.cost_two_order`) once over the array of every
+``k`` in ``0..max_degree`` and records the first-preference cheapest
 behaviour, the number of tied cheapest behaviours and the tied behaviours
 in preference order. A round counts ``k`` for every player, looks up the
 choice, and resolves ties only for players whose ``k`` is tied. On
@@ -58,6 +60,8 @@ from .model import (
     TWO_ORDER_BEHAVIORS,
     BINARY_BEHAVIORS,
     TIE_PRIORITY,
+    cost_main,
+    cost_two_order,
 )
 
 
@@ -144,6 +148,14 @@ class UpdateRule:
     def is_two_order(self) -> bool:
         return self.kind is RuleKind.TWO_ORDER_GREEDY
 
+    def check_params(self, params) -> None:
+        """Raise ``ValueError`` unless ``params`` belong to this rule's model."""
+        if self.is_two_order:
+            if not isinstance(params, TwoOrderParams):
+                raise ValueError("two-order rule requires TwoOrderParams")
+        elif not isinstance(params, MainParams):
+            raise ValueError(f"rule {self.kind.value} requires MainParams")
+
 
 class Termination(Enum):
     MAX_ROUNDS = "max-rounds"
@@ -215,36 +227,6 @@ def _validate_config(config: np.ndarray, n: int, rule: UpdateRule) -> np.ndarray
     return config
 
 
-def _validate_params(params, rule: UpdateRule) -> None:
-    if rule.is_two_order:
-        if not isinstance(params, TwoOrderParams):
-            raise ValueError("two-order rule requires TwoOrderParams")
-    elif not isinstance(params, MainParams):
-        raise ValueError(f"rule {rule.kind.value} requires MainParams")
-
-
-def _cost_table(k: np.ndarray, params, rule: UpdateRule) -> tuple[np.ndarray, np.ndarray]:
-    """Cost rows in tie-preference order; returns (codes, costs)."""
-    n = k.shape[0]
-    kf = k.astype(np.float64)
-    if rule.is_two_order:
-        rows = {
-            Behavior.COOPERATOR: np.full(n, params.alpha1 + params.alpha2),
-            Behavior.HYPOCRITICAL: params.alpha2 + kf * params.beta1,
-            Behavior.DEFECTOR: kf * (params.beta1 + params.beta2),
-            Behavior.PRIVATE_COOPERATOR: params.alpha1 + kf * params.beta2,
-        }
-    else:
-        rows = {
-            Behavior.COOPERATOR: np.ones(n),
-            Behavior.HYPOCRITICAL: params.e_h + kf * params.rho_h,
-            Behavior.DEFECTOR: kf * params.rho_d,
-        }
-    codes = [b for b in TIE_PRIORITY if b in rule.available]
-    costs = np.stack([rows[b] for b in codes])
-    return np.array(codes, dtype=np.int8), costs
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionTable:
     """Best responses of one parameter set and rule, per punishing count k.
@@ -267,11 +249,19 @@ class DecisionTable:
 def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
     """Tabulate the best responses for punishing counts ``0..max_count``.
 
-    Costs are computed by the same float operations a per-player
-    evaluation would use, so table lookups reproduce exact ties.
+    The cost rows are :func:`~peerpressure.model.cost_main` or
+    :func:`~peerpressure.model.cost_two_order` evaluated over the array of
+    counts, one row per available behaviour in preference order, so table
+    lookups reproduce the model's exact float costs and ties.
     """
-    _validate_params(params, rule)
-    codes, costs = _cost_table(np.arange(max_count + 1), params, rule)
+    rule.check_params(params)
+    cost = cost_two_order if rule.is_two_order else cost_main
+    behaviours = [b for b in TIE_PRIORITY if b in rule.available]
+    k = np.arange(max_count + 1)
+    costs = np.empty((len(behaviours), max_count + 1))
+    for row, behaviour in zip(costs, behaviours):
+        row[:] = cost(behaviour, k, params)
+    codes = np.array(behaviours, dtype=np.int8)
     is_min = costs == costs.min(axis=0, keepdims=True)
     n_min = is_min.sum(axis=0)
     # a stable sort keeps preference order within the cheapest and the rest
@@ -360,6 +350,8 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
+    if network.vertex_count == 0:
+        raise ValueError("simulation requires a non-empty network")
     if not network.is_connected():
         raise ValueError("simulation requires a connected network")
     table = decision_table(params, rule, int(network.degrees.max(initial=0)))
@@ -389,8 +381,6 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
                 break
         prev = config
         config = nxt
-    else:
-        round_reached = max_rounds
     return Trace(counts=np.array(counts, dtype=np.int64), round_reached=round_reached,
                  termination=termination, rule=rule, params=params, snapshots=snapshots)
 

@@ -20,7 +20,6 @@ Configurations are numpy int8 vectors of behaviour codes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from enum import Enum, IntEnum
 
@@ -123,35 +122,39 @@ class TwoOrderParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-def cost_main(behavior: Behavior, punishing_neighbors: int, params: MainParams) -> float:
+def cost_main(behavior: Behavior, punishing_neighbors, params: MainParams):
     """Round cost in the main model given the punishing-neighbour count.
 
     Cooperators pay the unit contribution and no pressure. Defectors and
     hypocrites pay their pressure rate per punishing neighbour; hypocrites
-    additionally pay the flat image-keeping cost.
+    additionally pay the flat image-keeping cost. ``punishing_neighbors``
+    is an integer or an integer array; an array gives one cost per entry
+    (the cooperator cost stays the scalar 1.0).
     """
-    if punishing_neighbors < 0:
+    k = punishing_neighbors
+    if np.min(k) < 0:
         raise ValueError("punishing_neighbors must be >= 0")
     if behavior is Behavior.COOPERATOR:
         return 1.0
     if behavior is Behavior.DEFECTOR:
-        return params.rho_d * punishing_neighbors
+        return params.rho_d * k
     if behavior is Behavior.HYPOCRITICAL:
-        return params.e_h + params.rho_h * punishing_neighbors
+        return params.e_h + params.rho_h * k
     raise ValueError(f"{behavior!r} is not a main-model behavior")
 
 
-def cost_two_order(behavior: Behavior, punishing_neighbors: int,
-                   params: TwoOrderParams) -> float:
+def cost_two_order(behavior: Behavior, punishing_neighbors, params: TwoOrderParams):
     """Round cost in the two-order model.
 
     A player pays ``alpha1`` if contributing and ``alpha2`` if punishing;
     each punishing neighbour charges ``beta1`` if the player does not
     contribute and ``beta2`` if the player does not punish.
+    ``punishing_neighbors`` is an integer or an integer array, as in
+    :func:`cost_main`.
     """
-    if punishing_neighbors < 0:
-        raise ValueError("punishing_neighbors must be >= 0")
     k = punishing_neighbors
+    if np.min(k) < 0:
+        raise ValueError("punishing_neighbors must be >= 0")
     if behavior is Behavior.COOPERATOR:
         return params.alpha1 + params.alpha2
     if behavior is Behavior.DEFECTOR:
@@ -290,8 +293,8 @@ def classify_two_order_conditions(params: TwoOrderParams,
 # flat key-value serialization
 # ---------------------------------------------------------------------------
 
-_MAIN_KEYS = ("e_h", "rho_h", "rho_d")
-_TWO_ORDER_KEYS = ("alpha1", "alpha2", "beta1", "beta2")
+MAIN_KEYS = ("e_h", "rho_h", "rho_d")
+TWO_ORDER_KEYS = ("alpha1", "alpha2", "beta1", "beta2")
 
 
 def params_to_dict(params: MainParams | TwoOrderParams) -> dict[str, float]:
@@ -299,19 +302,20 @@ def params_to_dict(params: MainParams | TwoOrderParams) -> dict[str, float]:
 
 
 def params_from_dict(record: dict) -> MainParams | TwoOrderParams:
-    """Build parameters from a flat mapping; the key set picks the model."""
-    keys = set(record)
-    if keys >= set(_MAIN_KEYS) and not keys & set(_TWO_ORDER_KEYS):
-        return MainParams(**{k: float(record[k]) for k in _MAIN_KEYS})
-    if keys >= set(_TWO_ORDER_KEYS) and not keys & set(_MAIN_KEYS):
-        return TwoOrderParams(**{k: float(record[k]) for k in _TWO_ORDER_KEYS})
-    raise ValueError(
-        f"expected keys {_MAIN_KEYS} or {_TWO_ORDER_KEYS}, got {sorted(keys)}")
+    """Build parameters from a flat mapping; the key set picks the model.
 
-
-def load_params(path: str) -> MainParams | TwoOrderParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: expected a flat JSON object")
-    return params_from_dict(record)
+    A parameter set is either all of :data:`MAIN_KEYS` or all of
+    :data:`TWO_ORDER_KEYS`; keys outside both are ignored.
+    """
+    expected = f"expected keys {MAIN_KEYS} or {TWO_ORDER_KEYS}"
+    main = [k for k in MAIN_KEYS if k in record]
+    two_order = [k for k in TWO_ORDER_KEYS if k in record]
+    if main and two_order:
+        raise ValueError(f"main-model keys {main} mixed with two-order keys {two_order}; "
+                         f"{expected}")
+    keys = TWO_ORDER_KEYS if two_order else MAIN_KEYS
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise ValueError(f"missing parameter {', '.join(map(repr, missing))}; {expected}")
+    values = {k: float(record[k]) for k in keys}
+    return TwoOrderParams(**values) if two_order else MainParams(**values)

@@ -264,10 +264,15 @@ def odd_girth_suite(seed: int, instances: int = 100, max_n: int = 60) -> list[In
     return outcomes
 
 
+def _sized(suite, seed: int, instances: int | None):
+    # None keeps the suite's own default instance count
+    return suite(seed) if instances is None else suite(seed, instances)
+
+
 def _reduction_runs(seed: int, instances: int | None, runs: dict):
     # reduction and extinction report on the same instances: run them once
     if "reduction" not in runs:
-        runs["reduction"] = reduction_suite(seed, instances or 100)
+        runs["reduction"] = _sized(reduction_suite, seed, instances)
     return runs["reduction"]
 
 
@@ -275,11 +280,11 @@ def _reduction_runs(seed: int, instances: int | None, runs: dict):
 # suite default; ``runs`` is a dict that lives for one ``verify``
 # invocation, so suites reporting on the same runs share them.
 SUITES = {
-    "contagion": lambda seed, instances, runs: contagion_suite(seed, instances or 200),
+    "contagion": lambda seed, instances, runs: _sized(contagion_suite, seed, instances),
     "reduction": lambda seed, instances, runs: _reduction_runs(seed, instances, runs)[0],
     "extinction": lambda seed, instances, runs: _reduction_runs(seed, instances, runs)[1],
-    "oracle": lambda seed, instances, runs: oracle_suite(seed, instances or 1000),
-    "bounds": lambda seed, instances, runs: bound_suite(seed, instances or 50),
+    "oracle": lambda seed, instances, runs: _sized(oracle_suite, seed, instances),
+    "bounds": lambda seed, instances, runs: _sized(bound_suite, seed, instances),
     "oscillation": lambda seed, instances, runs: oscillation_suite(seed),
-    "odd-girth": lambda seed, instances, runs: odd_girth_suite(seed, instances or 100),
+    "odd-girth": lambda seed, instances, runs: _sized(odd_girth_suite, seed, instances),
 }

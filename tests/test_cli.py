@@ -81,6 +81,30 @@ def test_simulate_flag_overrides_config_file(tmp_path, capsys):
     assert record["rho_h"] == 0.23
 
 
+MAIN_FLAGS = ("--e-h", "0.1", "--rho-h", "0.23", "--rho-d", "0.45")
+TWO_ORDER_FLAGS = ("--alpha1", "0.9", "--alpha2", "0.1", "--beta1", "0.23", "--beta2", "0.22")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (MAIN_FLAGS + ("--alpha1", "1"), None, "mixed with two-order keys"),
+    (TWO_ORDER_FLAGS, {"e_h": 0.1, "rho_h": 0.23, "rho_d": 0.45}, "mixed with two-order keys"),
+    (MAIN_FLAGS + ("--two-order",), None, "requires TwoOrderParams"),
+    (TWO_ORDER_FLAGS, None, "requires MainParams"),
+    ((), [0.1, 0.23, 0.45], "expected a flat JSON object"),
+], ids=["mixed-flags", "flags-over-config", "two-order-with-main-keys",
+        "two-order-keys-without-flag", "config-not-object"])
+def test_simulate_rejects_mismatched_params(tmp_path, capsys, argv, config, message):
+    # the mixed-flag case used to run and drop alpha1 silently
+    if config is not None:
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(config))
+        argv += ("--config", str(cfg))
+    assert run_cli("simulate", "--torus", "5", "5", "--seed", "0", *argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "effective-config" not in captured.out
+
+
 def test_simulate_from_edge_list(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     assert run_cli("generate", "--torus", "5", "5", "--out", str(edges)) == 0
@@ -95,6 +119,15 @@ def test_simulate_missing_graph_file_is_usage_error(capsys):
     assert run_cli("simulate", "--graph", "/nonexistent/g.edges", "--e-h", "0.1",
                    "--rho-h", "0.3", "--rho-d", "0.6", "--seed", "0") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_empty_network_is_usage_error(tmp_path, capsys):
+    edges = tmp_path / "empty.edges"
+    edges.write_text("0 0\n")
+    assert run_cli("simulate", "--graph", str(edges), *MAIN_FLAGS, "--seed", "0") == 2
+    captured = capsys.readouterr()
+    assert "simulation requires a non-empty network" in captured.err
+    assert "rounds=" not in captured.out
 
 
 def test_simulate_two_order(capsys):
@@ -160,6 +193,21 @@ def test_sweep_rejects_p_greedy_for_greedy_rule(tmp_path, capsys):
     assert run_cli("sweep", str(cfg), "--out-prefix", str(tmp_path / "p")) == 2
     captured = capsys.readouterr()
     assert "p_greedy is only meaningful for the noisy rule" in captured.err
+    assert "effective-config" not in captured.out
+
+
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_sweep_rejects_non_positive_workers(tmp_path, capsys, workers):
+    # -3 used to run serially and record "workers": -3
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"network": "torus", "width": 5, "height": 5,
+                               "e_h_count": 2, "rho_h_count": 2, "rho_d": 0.5,
+                               "epsilon": 0.2, "rounds": 4, "repetitions": 2,
+                               "master_seed": 9}))
+    assert run_cli("sweep", str(cfg), "--out-prefix", str(tmp_path / "p"),
+                   "--workers", workers) == 2
+    captured = capsys.readouterr()
+    assert "--workers must be positive" in captured.err
     assert "effective-config" not in captured.out
 
 

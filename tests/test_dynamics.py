@@ -179,6 +179,11 @@ class TestRun:
             run(triangle, np.zeros(3, dtype=np.int8), grid_params,
                 UpdateRule.main_greedy(), TieBreakStream(0), max_rounds=-1)
 
+    def test_rejects_empty_network(self, grid_params):
+        with pytest.raises(ValueError, match="non-empty"):
+            run(Network.from_edges(0, []), np.zeros(0, dtype=np.int8), grid_params,
+                UpdateRule.main_greedy(), TieBreakStream(0), max_rounds=2)
+
     def test_requires_connected_network(self, grid_params):
         g = Network.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):

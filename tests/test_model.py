@@ -1,6 +1,5 @@
 """Behaviours, costs, parameter windows, initial mixes, serialization."""
 
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from peerpressure import (
     classify_two_order_conditions,
     cost_main,
     cost_two_order,
-    load_params,
     map_configuration,
     map_two_order_params,
     params_from_dict,
@@ -66,16 +64,21 @@ class TestMainCosts:
             cost_main(Behavior.PRIVATE_COOPERATOR, 1, grid_params)
 
     def test_rejects_negative_neighbors(self, grid_params):
-        with pytest.raises(ValueError):
-            cost_main(Behavior.DEFECTOR, -1, grid_params)
+        for k in (-1, np.array([0, 3, -1, 2])):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                cost_main(Behavior.DEFECTOR, k, grid_params)
 
     @given(e_h=st.floats(0, 1), rho_h=positive, rho_d=positive, k=st.integers(0, 20))
     @settings(max_examples=60)
     def test_nonnegative_and_monotone_in_pressure(self, e_h, rho_h, rho_d, k):
         p = MainParams(e_h=e_h, rho_h=rho_h, rho_d=rho_d)
+        ks = np.arange(k + 2)
         for b in (Behavior.DEFECTOR, Behavior.HYPOCRITICAL, Behavior.COOPERATOR):
             assert cost_main(b, k, p) >= 0.0
             assert cost_main(b, k + 1, p) >= cost_main(b, k, p)
+            # an array of counts gives the scalar costs entry by entry, exactly
+            costs = np.broadcast_to(cost_main(b, ks, p), ks.shape)
+            assert costs.tolist() == [cost_main(b, int(j), p) for j in ks]
 
 
 class TestTwoOrderCosts:
@@ -277,11 +280,3 @@ class TestParamSerialization:
             params_from_dict({"e_h": 0.1, "rho_h": 0.2, "rho_d": 0.4, "alpha1": 1.0})
         with pytest.raises(ValueError, match="expected keys"):
             params_from_dict({"e_h": 0.1, "rho_h": 0.2})
-
-    def test_load_params(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps({"e_h": 0.1, "rho_h": 0.23, "rho_d": 0.45}))
-        assert load_params(str(path)) == MainParams(0.1, 0.23, 0.45)
-        path.write_text(json.dumps([1, 2, 3]))
-        with pytest.raises(ValueError, match="flat JSON object"):
-            load_params(str(path))
