@@ -44,8 +44,6 @@ from .dynamics import (
     DecisionTable,
     RuleKind,
     Termination,
-    TieAssignment,
-    TieBreakStream,
     Trace,
     UpdateRule,
     decision_table,
@@ -58,6 +56,7 @@ from .dynamics import (
 from .analysis import (
     BoundAudit,
     CheckRefused,
+    PresetDraws,
     audit_convergence_bound,
     check_contagion,
     check_reduction_equivalence,

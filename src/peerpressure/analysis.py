@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import GraphMetrics, Network
 from .model import Behavior, MainParams, TwoOrderParams, map_configuration, map_two_order_params
-from .dynamics import RuleKind, TieBreakStream, Trace, UpdateRule, run
+from .dynamics import RuleKind, Trace, UpdateRule, run
 
 
 class CheckRefused(ValueError):
@@ -142,10 +142,10 @@ def check_reduction_equivalence(network: Network, initial_two_order: np.ndarray,
     if not params.alpha2 < params.beta2:
         raise CheckRefused("reduction equivalence requires alpha2 < beta2")
     trace_two = run(network, initial_two_order, params, UpdateRule.two_order_greedy(),
-                    TieBreakStream(seed), max_rounds=rounds, record_snapshots=True)
+                    np.random.default_rng(seed), max_rounds=rounds, record_snapshots=True)
     trace_main = run(network, map_configuration(initial_two_order),
                      map_two_order_params(params), UpdateRule.main_greedy(),
-                     TieBreakStream(seed), max_rounds=rounds, record_snapshots=True)
+                     np.random.default_rng(seed), max_rounds=rounds, record_snapshots=True)
     for t in range(1, rounds + 1):
         if not np.array_equal(map_configuration(trace_two.snapshots[t]),
                               trace_main.snapshots[t]):
@@ -158,16 +158,35 @@ def check_reduction_equivalence(network: Network, initial_two_order: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def reference_step(network: Network, config, params, tie_assignment,
+class PresetDraws:
+    """Draw source for :func:`~peerpressure.dynamics.step` that hands out
+    preset uniforms in request order and raises once they run out."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self._used = 0
+
+    def random(self, size: int) -> np.ndarray:
+        end = self._used + size
+        if end > self._values.size:
+            raise ValueError(f"preset draws exhausted: {size} requested, "
+                             f"{self._values.size - self._used} left")
+        block = self._values[self._used:end]
+        self._used = end
+        return block
+
+
+def reference_step(network: Network, config, params, draws,
                    rule: UpdateRule | None = None) -> list[int]:
     """One revision round recomputed the slow, obvious way.
 
     Pure-Python loops, costs written out literally, behaviours compared
     one at a time; shares no cost or selection code with
     :func:`peerpressure.dynamics.step`, its only common ground being the
-    documented tie sub-interval convention. ``tie_assignment`` gives each
-    player the uniform value it would use if its decision ties. The rule
-    defaults to the greedy rule matching the parameter type.
+    documented tie sub-interval convention. The i-th tied player, in
+    ascending index, decides with the uniform ``draws[i]``, as ``step``
+    does when fed ``PresetDraws(draws)``. The rule defaults to the greedy
+    rule matching the parameter type.
     """
     if rule is None:
         rule = (UpdateRule.two_order_greedy() if isinstance(params, TwoOrderParams)
@@ -179,12 +198,10 @@ def reference_step(network: Network, config, params, tie_assignment,
     config = list(int(b) for b in config)
     if len(config) != n:
         raise ValueError("configuration length does not match the network")
-    values = list(tie_assignment)
-    if len(values) < n:
-        raise ValueError("tie assignment must provide a value per player")
 
     punishes = {int(Behavior.HYPOCRITICAL), int(Behavior.COOPERATOR)}
     result = []
+    cursor = 0
     for u in range(n):
         k = 0
         for v in network.neighbors(u):
@@ -208,7 +225,10 @@ def reference_step(network: Network, config, params, tie_assignment,
         if len(tied) == 1:
             result.append(tied[0])
         else:
-            r = float(values[u])
+            if cursor == len(draws):
+                raise ValueError(f"too few draws for the tied players: {len(draws)} given")
+            r = float(draws[cursor])
+            cursor += 1
             m = len(tied)
             idx = math.ceil(r * m) - 1
             idx = min(max(idx, 0), m - 1)

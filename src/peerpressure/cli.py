@@ -109,6 +109,10 @@ def cmd_simulate(args) -> int:
 
     # config file first, flags given on the command line win
     record = _read_json_object(args.config) if args.config else {}
+    unknown = sorted(set(record) - set(MAIN_KEYS + TWO_ORDER_KEYS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown parameter keys {unknown}; "
+                         f"expected keys {MAIN_KEYS} or {TWO_ORDER_KEYS}")
     flags = vars(args)
     record.update({k: flags[k] for k in MAIN_KEYS + TWO_ORDER_KEYS if flags[k] is not None})
     params = params_from_dict(record)

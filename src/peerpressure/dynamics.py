@@ -7,8 +7,10 @@ no tolerance is applied, so ties are genuine equalities.
 
 Randomness contract
 -------------------
-All randomness flows through a single draw source per run, consumed in a
-fixed documented order so that equal seeds reproduce runs bit for bit:
+All randomness flows through a single :class:`numpy.random.Generator`
+per run, consumed in a fixed documented order so that equal seeds
+reproduce runs bit for bit. A block request of ``size`` uniforms equals
+that many single requests, so only the order of the draws matters:
 
 * Greedy rules consume exactly one uniform draw per (player, round)
   decision, and only when that decision is tied. Draws are consumed in
@@ -63,41 +65,6 @@ from .model import (
     cost_main,
     cost_two_order,
 )
-
-
-class TieBreakStream:
-    """Sequential uniform draws from a seeded generator.
-
-    The stream is position-based: values are handed out in the order they
-    are requested, regardless of which player they are for. Equal seeds
-    give equal streams, and a block request equals that many single
-    requests.
-    """
-
-    def __init__(self, seed: int | np.random.SeedSequence):
-        self._rng = np.random.default_rng(seed)
-
-    def draw(self) -> float:
-        return float(self._rng.random())
-
-    def take_for(self, vertices: np.ndarray) -> np.ndarray:
-        """Next ``len(vertices)`` values; the indices only fix the count."""
-        return self._rng.random(len(vertices))
-
-
-class TieAssignment:
-    """Pre-assigned per-player draw values, for oracle comparisons.
-
-    Unlike a stream, the value a player receives is fixed up front, so the
-    outcome is independent of how many other players happen to tie. Only
-    meaningful for single greedy rounds.
-    """
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def take_for(self, vertices: np.ndarray) -> np.ndarray:
-        return self.values[vertices]
 
 
 class RuleKind(Enum):
@@ -286,10 +253,10 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
     Every player looks up the cheapest behaviours available under
     ``rule`` for its punishing-neighbour count in ``config`` (see
     :func:`decision_table`) and adopts one, resolving exact-tie sets
-    through ``ties`` as described in the module docstring; tie draws are
-    taken only for players whose count is tied, in ascending index.
-    ``ties`` is a :class:`TieBreakStream` or, for greedy rules only, a
-    :class:`TieAssignment`.
+    through ``ties``, a :class:`numpy.random.Generator` or any object whose
+    ``random(size)`` returns the next ``size`` uniforms: the noisy rule
+    first takes ``ties.random(n)`` noise draws, then one call takes a tie
+    draw per tied player in ascending index.
 
     Without ``table`` the parameters and the configuration are validated
     and a table is built for the network's maximum degree. A caller that
@@ -297,8 +264,6 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
     configuration, as :func:`run` does after checking the initial one.
     """
     noisy = rule.kind is RuleKind.MAIN_NOISY
-    if noisy and isinstance(ties, TieAssignment):
-        raise ValueError("the noisy rule requires a TieBreakStream")
     n = network.vertex_count
     if table is None:
         table = decision_table(params, rule, int(network.degrees.max(initial=0)))
@@ -310,7 +275,7 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
     out = table.choice.take(k)
 
     if noisy:
-        noise = ties.take_for(np.arange(n))
+        noise = ties.random(n)
         random_mask = noise > rule.p_greedy
 
     if table.is_tied.any():
@@ -319,7 +284,7 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
             tied = tied[~random_mask[tied]]
         if tied.size:
             k_tied = k[tied]
-            picked = _interval_pick(ties.take_for(tied), table.n_min[k_tied])
+            picked = _interval_pick(ties.random(tied.size), table.n_min[k_tied])
             out[tied] = table.tied[k_tied, picked]
 
     if noisy and random_mask.any():

@@ -22,7 +22,7 @@ from .model import (
     sample_initial_main,
     sample_initial_two_order,
 )
-from .dynamics import RuleKind, TieBreakStream, Trace, UpdateRule, run
+from .dynamics import RuleKind, Trace, UpdateRule, run
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def run_time_evolution(network: Network | NetworkSpec, params, epsilon: float,
         network = network.build(derived_seed(seed, 0))
     init = _initial_sampler(rule)(network.vertex_count, epsilon,
                                   np.random.default_rng(derived_seed(seed, 1)))
-    trace = run(network, init, params, rule, TieBreakStream(derived_seed(seed, 2)),
+    trace = run(network, init, params, rule, np.random.default_rng(derived_seed(seed, 2)),
                 max_rounds=rounds, early_stop=early_stop,
                 record_snapshots=record_snapshots)
     return network, trace
@@ -233,7 +233,7 @@ def _run_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
         n = network.vertex_count
         init = sampler(n, spec.epsilon,
                        np.random.default_rng(derived_seed(spec.master_seed, i, j, rep, 1)))
-        ties = TieBreakStream(derived_seed(spec.master_seed, i, j, rep, 2))
+        ties = np.random.default_rng(derived_seed(spec.master_seed, i, j, rep, 2))
         trace = run(network, init, params, spec.rule, ties, max_rounds=spec.rounds)
         total += trace.counts[-1][:3] / n
     return total / spec.repetitions

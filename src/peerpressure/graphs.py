@@ -285,12 +285,14 @@ def compute_metrics(network: Network) -> GraphMetrics:
     """Diameter, minimum degree, and bipartition or shortest odd cycle.
 
     Requires a connected network. The diameter is the largest breadth-first
-    eccentricity over all vertices. For non-bipartite graphs the shortest
-    odd cycle length is recovered from the same sweep: for every source s,
-    any edge (u, v) with dist_s(u) == dist_s(v) closes an odd walk of
-    length 2*dist_s(u) + 1, and the minimum of these over all sources is
-    exact because distances from a vertex on a shortest odd cycle to the
-    cycle's far edge are realised inside the cycle.
+    eccentricity over all vertices. The shortest odd cycle length is
+    recovered from the same sweep: for every source s, any edge (u, v)
+    with dist_s(u) == dist_s(v) closes an odd walk of length
+    2*dist_s(u) + 1, and the minimum of these over all sources is exact
+    because distances from a vertex on a shortest odd cycle to the cycle's
+    far edge are realised inside the cycle. The graph is bipartite exactly
+    when no source finds such an edge, and then the parity of the
+    distances from vertex 0 gives the two classes.
     """
     n = network.vertex_count
     if n == 0:
@@ -298,26 +300,24 @@ def compute_metrics(network: Network) -> GraphMetrics:
     if not network.is_connected():
         raise ValueError("metrics require a connected network")
 
-    color = _two_coloring(network)
     edge_u = network.neighbor_src
     edge_v = network.indices
-    bipartite = bool(np.all(color[edge_u] != color[edge_v])) if edge_u.size else True
-
     diameter = 0
     odd_girth: int | None = None
     for s in range(n):
         dist = bfs_distances(network, s)
+        if s == 0:
+            color = dist % 2
         diameter = max(diameter, int(dist.max()))
-        if not bipartite:
-            same = dist[edge_u] == dist[edge_v]
-            if same.any():
-                cand = 2 * int(dist[edge_u][same].min()) + 1
-                odd_girth = cand if odd_girth is None else min(odd_girth, cand)
+        same = dist[edge_u] == dist[edge_v]
+        if same.any():
+            cand = 2 * int(dist[edge_u][same].min()) + 1
+            odd_girth = cand if odd_girth is None else min(odd_girth, cand)
 
     bipartition = None
-    if bipartite:
-        side_a = tuple(int(v) for v in np.flatnonzero(color == color[0]))
-        side_b = tuple(int(v) for v in np.flatnonzero(color != color[0]))
+    if odd_girth is None:
+        side_a = tuple(int(v) for v in np.flatnonzero(color == 0))
+        side_b = tuple(int(v) for v in np.flatnonzero(color != 0))
         bipartition = (side_a, side_b)
     return GraphMetrics(
         diameter=diameter,
@@ -325,11 +325,6 @@ def compute_metrics(network: Network) -> GraphMetrics:
         bipartition=bipartition,
         odd_girth=odd_girth,
     )
-
-
-def _two_coloring(network: Network) -> np.ndarray:
-    """Alternate 0/1 colours along a breadth-first sweep from vertex 0."""
-    return bfs_distances(network, 0) % 2
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,8 @@ def params_from_dict(record: dict) -> MainParams | TwoOrderParams:
     """Build parameters from a flat mapping; the key set picks the model.
 
     A parameter set is either all of :data:`MAIN_KEYS` or all of
-    :data:`TWO_ORDER_KEYS`; keys outside both are ignored.
+    :data:`TWO_ORDER_KEYS`; keys outside both are ignored. A value that
+    is not a number raises ``ValueError`` naming its key.
     """
     expected = f"expected keys {MAIN_KEYS} or {TWO_ORDER_KEYS}"
     main = [k for k in MAIN_KEYS if k in record]
@@ -317,5 +318,10 @@ def params_from_dict(record: dict) -> MainParams | TwoOrderParams:
     missing = [k for k in keys if k not in record]
     if missing:
         raise ValueError(f"missing parameter {', '.join(map(repr, missing))}; {expected}")
-    values = {k: float(record[k]) for k in keys}
+    values = {}
+    for k in keys:
+        try:
+            values[k] = float(record[k])
+        except (TypeError, ValueError):
+            raise ValueError(f"parameter {k!r} must be a number, got {record[k]!r}") from None
     return TwoOrderParams(**values) if two_order else MainParams(**values)

@@ -23,8 +23,9 @@ from .model import (
     sample_initial_main,
     sample_initial_two_order,
 )
-from .dynamics import TieAssignment, TieBreakStream, UpdateRule, run, step
+from .dynamics import UpdateRule, run, step
 from .analysis import (
+    PresetDraws,
     audit_convergence_bound,
     check_contagion,
     check_reduction_equivalence,
@@ -102,7 +103,7 @@ def contagion_suite(seed: int, instances: int = 200, max_n: int = 200) -> list[I
             sample_initial_main(g.vertex_count, float(rng.uniform(0.05, 0.5)), rng), rng)
         rounds = 2 * compute_metrics(g).diameter + 3
         trace = run(g, init, params, UpdateRule.main_greedy(),
-                    TieBreakStream(int(rng.integers(2**63))), max_rounds=rounds,
+                    np.random.default_rng(int(rng.integers(2**63))), max_rounds=rounds,
                     record_snapshots=True)
         ok = all(
             check_contagion(g, trace.snapshots[t], trace.snapshots[t + 1], params)
@@ -136,7 +137,7 @@ def reduction_suite(seed: int, instances: int = 100, max_n: int = 12,
         ok = check_reduction_equivalence(g, init, params, run_seed, rounds)
         equivalence.append(InstanceOutcome(i, ok, f"n={g.vertex_count}"))
         trace = run(g, init, params, UpdateRule.two_order_greedy(),
-                    TieBreakStream(run_seed), max_rounds=rounds)
+                    np.random.default_rng(run_seed), max_rounds=rounds)
         stray = int(trace.counts[1:, Behavior.PRIVATE_COOPERATOR].sum())
         extinction.append(InstanceOutcome(i, stray == 0, f"stray_private={stray}"))
     return equivalence, extinction
@@ -145,9 +146,9 @@ def reduction_suite(seed: int, instances: int = 100, max_n: int = 12,
 def oracle_suite(seed: int, instances: int = 1000, max_n: int = 12) -> list[InstanceOutcome]:
     """Vectorised stepper against the naive reference stepper.
 
-    Instances mix both models, all three greedy rules, wild and
-    deliberately tie-rich parameter values, and shared per-player tie
-    values, demanding exact agreement.
+    Instances mix both models, all three greedy rules, and wild and
+    deliberately tie-rich parameter values; both steppers get the same
+    preset draws, so exact agreement also pins the tie-draw order.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 303]))
     tie_rich = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
@@ -174,7 +175,7 @@ def oracle_suite(seed: int, instances: int = 1000, max_n: int = 12) -> list[Inst
             if kind == 2:
                 config[config == 1] = 2
         values = rng.random(n)
-        fast = step(g, config, params, rule, TieAssignment(values))
+        fast = step(g, config, params, rule, PresetDraws(values))
         slow = reference_step(g, config, params, values, rule=rule)
         ok = np.array_equal(fast, np.array(slow, dtype=np.int8))
         outcomes.append(InstanceOutcome(i, ok, f"n={n},rule={rule.kind.value}"))
@@ -204,7 +205,7 @@ def bound_suite(seed: int, instances: int = 50, max_n: int = 60) -> list[Instanc
         bound = (metrics.diameter + 1 if metrics.is_bipartite
                  else 3 * metrics.diameter + 1)
         trace = run(g, init, params, UpdateRule.main_greedy(),
-                    TieBreakStream(int(rng.integers(2**63))),
+                    np.random.default_rng(int(rng.integers(2**63))),
                     max_rounds=bound + 3, record_snapshots=True)
         audit = audit_convergence_bound(g, metrics, trace, init)
         ok = audit.satisfied or not audit.bound_applicable
@@ -233,7 +234,7 @@ def oscillation_suite(seed: int = 0, rounds: int = 52) -> list[InstanceOutcome]:
         init[small] = Behavior.HYPOCRITICAL
         init[small + 1] = Behavior.COOPERATOR
         trace = run(g, init, params, UpdateRule.main_greedy(),
-                    TieBreakStream(np.random.SeedSequence([seed, 505, idx])),
+                    np.random.default_rng(np.random.SeedSequence([seed, 505, idx])),
                     max_rounds=rounds, record_snapshots=True)
         snaps = trace.snapshots
         alternates = all(

@@ -16,7 +16,6 @@ from peerpressure import (
     Network,
     NetworkSpec,
     SweepSpec,
-    TieBreakStream,
     UpdateRule,
     build_torus_grid,
     compute_metrics,
@@ -212,7 +211,7 @@ def test_criterion_10_bipartite_oscillation():
     params = MainParams(e_h=0.1, rho_h=0.36, rho_d=0.598)
     init = np.zeros(13, dtype=np.int8)
     init[3:] = Behavior.COOPERATOR
-    trace = run(g, init, params, UpdateRule.main_greedy(), TieBreakStream(0),
+    trace = run(g, init, params, UpdateRule.main_greedy(), np.random.default_rng(0),
                 max_rounds=52, record_snapshots=True)
     snaps = trace.snapshots
     canonical_ok = all(

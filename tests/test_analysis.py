@@ -8,11 +8,11 @@ from peerpressure import (
     CheckRefused,
     MainParams,
     Network,
-    TieAssignment,
-    TieBreakStream,
+    PresetDraws,
     TwoOrderParams,
     UpdateRule,
     audit_convergence_bound,
+    build_torus_grid,
     check_contagion,
     check_reduction_equivalence,
     compute_metrics,
@@ -80,7 +80,7 @@ class TestContagionCheck:
     def test_accepts_exact_neighborhood_growth(self):
         before = np.array([H, D, D, D], dtype=np.int8)
         after = step(self.g, before, self.params, UpdateRule.main_greedy(),
-                     TieBreakStream(0))
+                     np.random.default_rng(0))
         assert check_contagion(self.g, before, after, self.params)
 
     def test_rejects_tampered_step(self):
@@ -99,7 +99,7 @@ class TestBoundAudit:
         init = np.zeros(6, dtype=np.int8)
         init[0] = H
         trace = run(cycle6, init, self._window_params(), UpdateRule.main_noisy(0.9),
-                    TieBreakStream(0), max_rounds=4)
+                    np.random.default_rng(0), max_rounds=4)
         with pytest.raises(CheckRefused, match="greedy"):
             audit_convergence_bound(cycle6, metrics, trace, init)
 
@@ -108,7 +108,7 @@ class TestBoundAudit:
         params = MainParams(e_h=0.1, rho_h=0.2, rho_d=0.9)
         init = np.zeros(6, dtype=np.int8)
         trace = run(cycle6, init, params, UpdateRule.main_greedy(),
-                    TieBreakStream(0), max_rounds=4)
+                    np.random.default_rng(0), max_rounds=4)
         with pytest.raises(CheckRefused, match="window"):
             audit_convergence_bound(cycle6, metrics, trace, init)
 
@@ -118,7 +118,7 @@ class TestBoundAudit:
         init = np.zeros(6, dtype=np.int8)
         init[0] = H
         trace = run(cycle6, init, self._window_params(), UpdateRule.main_greedy(),
-                    TieBreakStream(0), max_rounds=10)
+                    np.random.default_rng(0), max_rounds=10)
         audit = audit_convergence_bound(cycle6, metrics, trace, init)
         assert not audit.bound_applicable
         assert audit.bound == metrics.diameter + 1
@@ -129,7 +129,7 @@ class TestBoundAudit:
         init[0] = H
         init[1] = C
         trace = run(cycle6, init, self._window_params(), UpdateRule.main_greedy(),
-                    TieBreakStream(0), max_rounds=metrics.diameter + 1)
+                    np.random.default_rng(0), max_rounds=metrics.diameter + 1)
         audit = audit_convergence_bound(cycle6, metrics, trace, init)
         assert audit.bound_applicable
         assert audit.satisfied
@@ -142,7 +142,7 @@ class TestBoundAudit:
         init[7] = C
         bound = 3 * metrics.diameter + 1
         trace = run(torus5, init, params, UpdateRule.main_greedy(),
-                    TieBreakStream(0), max_rounds=bound)
+                    np.random.default_rng(0), max_rounds=bound)
         audit = audit_convergence_bound(torus5, metrics, trace, init)
         assert audit.bound == bound
         assert audit.bound_applicable and audit.satisfied
@@ -152,7 +152,7 @@ class TestBoundAudit:
         params = MainParams(e_h=0.1, rho_h=0.3, rho_d=0.6)
         init = np.zeros(25, dtype=np.int8)
         trace = run(torus5, init, params, UpdateRule.main_greedy(),
-                    TieBreakStream(0), max_rounds=3)
+                    np.random.default_rng(0), max_rounds=3)
         audit = audit_convergence_bound(torus5, metrics, trace, init)
         # all-defector start never moves: inapplicable, no convergence round
         assert audit.report_line(7) == "7,false,13,,false"
@@ -172,12 +172,23 @@ class TestReductionCheck:
         assert check_reduction_equivalence(torus5, init, params, seed=8, rounds=12)
 
 
+class TestPresetDraws:
+    def test_values_are_positional(self):
+        draws = PresetDraws([0.1, 0.5, 0.9])
+        assert draws.random(2).tolist() == [0.1, 0.5]
+        assert draws.random(1).tolist() == [0.9]
+        with pytest.raises(ValueError, match="exhausted"):
+            draws.random(1)
+
+
 class TestReferenceStep:
     def test_validates_lengths(self, triangle, grid_params):
         with pytest.raises(ValueError, match="length"):
             reference_step(triangle, [0, 0], grid_params, [0.5, 0.5, 0.5])
-        with pytest.raises(ValueError, match="value per player"):
-            reference_step(triangle, [0, 0, 0], grid_params, [0.5])
+        # e_h = 0 ties H and D at k = 0: all three players need a draw
+        ties_at_zero = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
+        with pytest.raises(ValueError, match="too few draws"):
+            reference_step(triangle, [0, 0, 0], ties_at_zero, [0.5, 0.5])
 
     def test_rejects_noisy_rule(self, triangle, grid_params):
         with pytest.raises(ValueError, match="greedy"):
@@ -195,9 +206,25 @@ class TestReferenceStep:
         params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
         config = np.zeros(2, dtype=np.int8)
         values = [0.5, 0.75]
-        fast = step(g, config, params, UpdateRule.main_greedy(), TieAssignment(values))
+        fast = step(g, config, params, UpdateRule.main_greedy(), PresetDraws(values))
         slow = reference_step(g, config, params, values)
         assert fast.tolist() == slow == [H, D]
+
+    def test_detects_reversed_tie_draws(self):
+        # non-vacuity: a source that hands each block of draws out in
+        # reverse order must make step disagree with the reference stepper
+        class ReversedBlocks(PresetDraws):
+            def random(self, size):
+                return super().random(size)[::-1]
+
+        g = build_torus_grid(4, 4)
+        params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)  # all 16 tie H and D at k=0
+        config = np.zeros(16, dtype=np.int8)
+        values = np.random.default_rng(3).random(16)
+        slow = reference_step(g, config, params, values)
+        rule = UpdateRule.main_greedy()
+        assert step(g, config, params, rule, PresetDraws(values)).tolist() == slow
+        assert step(g, config, params, rule, ReversedBlocks(values)).tolist() != slow
 
 
 def test_bound_suite_smoke():

@@ -91,8 +91,13 @@ TWO_ORDER_FLAGS = ("--alpha1", "0.9", "--alpha2", "0.1", "--beta1", "0.23", "--b
     (MAIN_FLAGS + ("--two-order",), None, "requires TwoOrderParams"),
     (TWO_ORDER_FLAGS, None, "requires MainParams"),
     ((), [0.1, 0.23, 0.45], "expected a flat JSON object"),
+    ((), {"e_h": None, "rho_h": 0.23, "rho_d": 0.45}, "'e_h' must be a number"),
+    ((), {"e_h": [0.1], "rho_h": 0.23, "rho_d": 0.45}, "'e_h' must be a number"),
+    ((), {"e_h": 0.1, "rho_h": 0.23, "rho_d": 0.45, "epsilon": 0.5, "seed": 1},
+     "unknown parameter keys ['epsilon', 'seed']"),
 ], ids=["mixed-flags", "flags-over-config", "two-order-with-main-keys",
-        "two-order-keys-without-flag", "config-not-object"])
+        "two-order-keys-without-flag", "config-not-object", "config-null-value",
+        "config-list-value", "config-non-parameter-keys"])
 def test_simulate_rejects_mismatched_params(tmp_path, capsys, argv, config, message):
     # the mixed-flag case used to run and drop alpha1 silently
     if config is not None:

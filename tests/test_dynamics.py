@@ -7,9 +7,8 @@ from peerpressure import (
     Behavior,
     MainParams,
     Network,
+    PresetDraws,
     Termination,
-    TieAssignment,
-    TieBreakStream,
     TwoOrderParams,
     UpdateRule,
     build_torus_grid,
@@ -24,31 +23,13 @@ from peerpressure import (
 D, H, C, PC = 0, 1, 2, 3
 
 
-class TestTieBreakStream:
-    def test_equal_seeds_equal_streams(self):
-        a = TieBreakStream(7)
-        b = TieBreakStream(7)
-        assert [a.draw() for _ in range(5)] == [b.draw() for _ in range(5)]
-
-    def test_block_equals_singles(self):
-        # a block request must consume exactly as much state as n singles
-        a = TieBreakStream(7)
-        b = TieBreakStream(7)
-        block = a.take_for(np.arange(6))
-        singles = [b.draw() for _ in range(6)]
-        assert block.tolist() == singles
-        assert a.draw() == b.draw()
-
-    def test_take_for_ignores_vertex_identity(self):
-        a = TieBreakStream(3)
-        b = TieBreakStream(3)
-        assert a.take_for(np.array([9, 4])).tolist() == b.take_for(np.array([0, 1])).tolist()
-
-
-class TestTieAssignment:
-    def test_values_are_positional(self):
-        ties = TieAssignment([0.1, 0.5, 0.9])
-        assert ties.take_for(np.array([2, 0])).tolist() == [0.9, 0.1]
+def test_generator_block_equals_singles():
+    # the randomness contract relies on a block request consuming exactly
+    # as much generator state as that many single requests
+    a = np.random.default_rng(7)
+    b = np.random.default_rng(7)
+    assert a.random(6).tolist() == [b.random() for _ in range(6)]
+    assert a.random() == b.random()
 
 
 def test_update_rule_validation():
@@ -77,7 +58,7 @@ class TestTieConventions:
         # e_h + rho_h = 1 = rho_d at k=1: all three costs are exactly 1.0
         params = MainParams(e_h=0.5, rho_h=0.5, rho_d=1.0)
         config = np.array([H, C], dtype=np.int8)
-        out = step(self.k2, config, params, UpdateRule.main_greedy(), TieAssignment([r, r]))
+        out = step(self.k2, config, params, UpdateRule.main_greedy(), PresetDraws([r, r]))
         assert out[0] == out[1]
         return int(out[0])
 
@@ -85,7 +66,7 @@ class TestTieConventions:
         # e_h=0 at k=0 ties defector and hypocrite at cost 0
         params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
         config = np.zeros(2, dtype=np.int8)
-        out = step(self.k2, config, params, UpdateRule.main_greedy(), TieAssignment([r, r]))
+        out = step(self.k2, config, params, UpdateRule.main_greedy(), PresetDraws([r, r]))
         return int(out[0])
 
     def test_three_way_intervals(self):
@@ -110,26 +91,21 @@ class TestStepValidation:
     def test_config_shape(self, triangle, grid_params):
         with pytest.raises(ValueError, match="shape"):
             step(triangle, np.zeros(4, dtype=np.int8), grid_params,
-                 UpdateRule.main_greedy(), TieBreakStream(0))
+                 UpdateRule.main_greedy(), np.random.default_rng(0))
 
     def test_codes_out_of_range_for_rule(self, triangle, grid_params):
         config = np.array([D, H, PC], dtype=np.int8)
         with pytest.raises(ValueError, match="out of range"):
-            step(triangle, config, grid_params, UpdateRule.main_greedy(), TieBreakStream(0))
+            step(triangle, config, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0))
 
     def test_params_must_match_rule(self, triangle, grid_params):
         two = TwoOrderParams(1, 1, 1, 1)
         with pytest.raises(ValueError, match="MainParams"):
             step(triangle, np.zeros(3, dtype=np.int8), two,
-                 UpdateRule.main_greedy(), TieBreakStream(0))
+                 UpdateRule.main_greedy(), np.random.default_rng(0))
         with pytest.raises(ValueError, match="TwoOrderParams"):
             step(triangle, np.zeros(3, dtype=np.int8), grid_params,
-                 UpdateRule.two_order_greedy(), TieBreakStream(0))
-
-    def test_noisy_rejects_tie_assignment(self, triangle, grid_params):
-        with pytest.raises(ValueError, match="TieBreakStream"):
-            step(triangle, np.zeros(3, dtype=np.int8), grid_params,
-                 UpdateRule.main_noisy(0.9), TieAssignment([0.1, 0.2, 0.3]))
+                 UpdateRule.two_order_greedy(), np.random.default_rng(0))
 
 
 def test_golden_triangle_run(triangle, grid_params):
@@ -137,7 +113,7 @@ def test_golden_triangle_run(triangle, grid_params):
     # cheaper than defecting at k>=1; all-hypocrite is then a fixed point
     init = np.array([D, H, C], dtype=np.int8)
     trace = run(triangle, init, grid_params, UpdateRule.main_greedy(),
-                TieBreakStream(0), max_rounds=5, early_stop=True)
+                np.random.default_rng(0), max_rounds=5, early_stop=True)
     assert trace.counts.tolist() == [[1, 1, 1], [0, 3, 0], [0, 3, 0]]
     assert trace.termination is Termination.FIXED_POINT
     assert trace.round_reached == 1
@@ -149,7 +125,7 @@ def test_golden_tied_run_consumes_draws_in_index_order(path3):
     # decisions consume the stream's first three draws in vertex order
     params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
     trace = run(path3, np.zeros(3, dtype=np.int8), params, UpdateRule.main_greedy(),
-                TieBreakStream(123), max_rounds=3, record_snapshots=True)
+                np.random.default_rng(123), max_rounds=3, record_snapshots=True)
     assert [s.tolist() for s in trace.snapshots] == [
         [0, 0, 0], [0, 1, 1], [1, 1, 1], [1, 2, 1]]
     draws = np.random.default_rng(123).random(4)
@@ -164,37 +140,37 @@ class TestRun:
         init = np.zeros(25, dtype=np.int8)
         init[0] = C
         trace = run(torus5, init, grid_params, UpdateRule.main_greedy(),
-                    TieBreakStream(1), max_rounds=9)
+                    np.random.default_rng(1), max_rounds=9)
         assert trace.rounds == 9
         assert trace.termination is Termination.MAX_ROUNDS
         assert trace.round_reached == 9
 
     def test_zero_rounds(self, triangle, grid_params):
         trace = run(triangle, np.zeros(3, dtype=np.int8), grid_params,
-                    UpdateRule.main_greedy(), TieBreakStream(0), max_rounds=0)
+                    UpdateRule.main_greedy(), np.random.default_rng(0), max_rounds=0)
         assert trace.counts.shape == (1, 3)
 
     def test_negative_rounds_rejected(self, triangle, grid_params):
         with pytest.raises(ValueError):
             run(triangle, np.zeros(3, dtype=np.int8), grid_params,
-                UpdateRule.main_greedy(), TieBreakStream(0), max_rounds=-1)
+                UpdateRule.main_greedy(), np.random.default_rng(0), max_rounds=-1)
 
     def test_rejects_empty_network(self, grid_params):
         with pytest.raises(ValueError, match="non-empty"):
             run(Network.from_edges(0, []), np.zeros(0, dtype=np.int8), grid_params,
-                UpdateRule.main_greedy(), TieBreakStream(0), max_rounds=2)
+                UpdateRule.main_greedy(), np.random.default_rng(0), max_rounds=2)
 
     def test_requires_connected_network(self, grid_params):
         g = Network.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             run(g, np.zeros(4, dtype=np.int8), grid_params,
-                UpdateRule.main_greedy(), TieBreakStream(0), max_rounds=2)
+                UpdateRule.main_greedy(), np.random.default_rng(0), max_rounds=2)
 
     def test_fixed_point_detected_at_start(self, triangle):
         # window for min_degree=2: all-cooperator is absorbing
         params = MainParams(e_h=0.1, rho_h=0.5, rho_d=0.7)
         trace = run(triangle, np.full(3, C, dtype=np.int8), params,
-                    UpdateRule.main_greedy(), TieBreakStream(0),
+                    UpdateRule.main_greedy(), np.random.default_rng(0),
                     max_rounds=10, early_stop=True)
         assert trace.termination is Termination.FIXED_POINT
         assert trace.round_reached == 0
@@ -208,7 +184,7 @@ class TestRun:
         params = MainParams(0.1, 0.36, 0.598)
         init = np.zeros(13, dtype=np.int8)
         init[3:] = C
-        trace = run(g, init, params, UpdateRule.main_greedy(), TieBreakStream(0),
+        trace = run(g, init, params, UpdateRule.main_greedy(), np.random.default_rng(0),
                     max_rounds=50, early_stop=True)
         assert trace.termination is Termination.TWO_CYCLE
         assert trace.round_reached == 0
@@ -219,7 +195,7 @@ class TestRun:
         rng = np.random.default_rng(4)
         init = rng.integers(0, 3, size=25).astype(np.int8)
         trace = run(torus5, init, grid_params, UpdateRule.main_greedy(),
-                    TieBreakStream(2), max_rounds=7, record_snapshots=True)
+                    np.random.default_rng(2), max_rounds=7, record_snapshots=True)
         assert (trace.counts.sum(axis=1) == 25).all()
         for t, snap in enumerate(trace.snapshots):
             assert np.bincount(snap, minlength=3).tolist() == trace.counts[t].tolist()
@@ -228,12 +204,12 @@ class TestRun:
         params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)  # tie-rich
         init = np.zeros(25, dtype=np.int8)
         init[12] = H
-        a = run(torus5, init, params, UpdateRule.main_greedy(), TieBreakStream(9),
+        a = run(torus5, init, params, UpdateRule.main_greedy(), np.random.default_rng(9),
                 max_rounds=8)
-        b = run(torus5, init, params, UpdateRule.main_greedy(), TieBreakStream(9),
+        b = run(torus5, init, params, UpdateRule.main_greedy(), np.random.default_rng(9),
                 max_rounds=8)
         assert np.array_equal(a.counts, b.counts)
-        c = run(torus5, init, params, UpdateRule.main_greedy(), TieBreakStream(10),
+        c = run(torus5, init, params, UpdateRule.main_greedy(), np.random.default_rng(10),
                 max_rounds=8)
         assert not np.array_equal(a.counts, c.counts)
 
@@ -245,15 +221,15 @@ class TestNoisyRule:
         rng = np.random.default_rng(13)
         init = rng.integers(0, 3, size=25).astype(np.int8)
         greedy = run(torus5, init, grid_params, UpdateRule.main_greedy(),
-                     TieBreakStream(5), max_rounds=10)
+                     np.random.default_rng(5), max_rounds=10)
         noisy = run(torus5, init, grid_params, UpdateRule.main_noisy(1.0),
-                    TieBreakStream(5), max_rounds=10)
+                    np.random.default_rng(5), max_rounds=10)
         assert np.array_equal(greedy.counts, noisy.counts)
 
     def test_fully_random_is_roughly_uniform(self, grid_params):
         g = build_torus_grid(10, 10)
         out = step(g, np.zeros(100, dtype=np.int8), grid_params,
-                   UpdateRule.main_noisy(0.0), TieBreakStream(5))
+                   UpdateRule.main_noisy(0.0), np.random.default_rng(5))
         counts = np.bincount(out, minlength=3)
         assert counts.tolist() == [39, 30, 31]  # frozen; near-uniform thirds
 
@@ -264,7 +240,7 @@ class TestNoisyRule:
         seed = 21
         raw = np.random.default_rng(seed).random(4)
         out = step(g, np.zeros(2, dtype=np.int8), params,
-                   UpdateRule.main_noisy(0.5), TieBreakStream(seed))
+                   UpdateRule.main_noisy(0.5), np.random.default_rng(seed))
         expected = []
         tie_cursor = 2
         for u in range(2):
@@ -277,6 +253,17 @@ class TestNoisyRule:
                 expected.append(H if r <= 0.5 else D)
         assert out.tolist() == expected
 
+    def test_noise_draws_precede_tie_draws(self):
+        # both noise draws stay under p_greedy, so both players tie H and D
+        # at k=0 and take the next two draws: 0.25 gives H, 0.75 gives D
+        g = Network.from_edges(2, [(0, 1)])
+        params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
+        draws = PresetDraws([0.1, 0.2, 0.25, 0.75])
+        out = step(g, np.zeros(2, dtype=np.int8), params, UpdateRule.main_noisy(0.5), draws)
+        assert out.tolist() == [H, D]
+        with pytest.raises(ValueError, match="exhausted"):
+            draws.random(1)
+
 
 class TestTwoOrderDynamics:
     def test_private_cooperation_never_wins_under_cheap_punishment(self, torus5):
@@ -286,7 +273,7 @@ class TestTwoOrderDynamics:
         rng = np.random.default_rng(6)
         init = rng.integers(0, 4, size=25).astype(np.int8)
         trace = run(torus5, init, params, UpdateRule.two_order_greedy(),
-                    TieBreakStream(3), max_rounds=10)
+                    np.random.default_rng(3), max_rounds=10)
         assert trace.counts.shape[1] == 4
         assert trace.counts[1:, PC].sum() == 0
 
@@ -296,14 +283,14 @@ class TestTwoOrderDynamics:
         g = Network.from_edges(2, [(0, 1)])
         params = TwoOrderParams(alpha1=0.1, alpha2=5.0, beta1=6.0, beta2=0.5)
         config = np.array([C, C], dtype=np.int8)
-        out = step(g, config, params, UpdateRule.two_order_greedy(), TieBreakStream(0))
+        out = step(g, config, params, UpdateRule.two_order_greedy(), np.random.default_rng(0))
         assert out.tolist() == [PC, PC]
 
 
 class TestTraceCsv:
     def test_main_model_frozen_string(self, triangle, grid_params):
         trace = run(triangle, np.array([D, H, C], dtype=np.int8), grid_params,
-                    UpdateRule.main_greedy(), TieBreakStream(0),
+                    UpdateRule.main_greedy(), np.random.default_rng(0),
                     max_rounds=5, early_stop=True)
         assert format_trace_csv(trace) == (
             "round,defectors,hypocritical,cooperators\n"
@@ -314,7 +301,7 @@ class TestTraceCsv:
     def test_two_order_has_four_columns(self, triangle, tmp_path):
         params = TwoOrderParams(1, 1, 1, 1)
         trace = run(triangle, np.array([D, H, PC], dtype=np.int8), params,
-                    UpdateRule.two_order_greedy(), TieBreakStream(0), max_rounds=1)
+                    UpdateRule.two_order_greedy(), np.random.default_rng(0), max_rounds=1)
         text = format_trace_csv(trace)
         assert text.startswith(
             "round,defectors,hypocritical,cooperators,private_cooperators\n")
@@ -336,16 +323,15 @@ def test_step_permutation_equivariance():
                             rho_h=float(rng.choice([0.25, 0.5, 1.0])),
                             rho_d=float(rng.choice([0.5, 1.0, 2.0])))
         config = rng.integers(0, 3, size=n).astype(np.int8)
-        values = rng.random(n)
+        # every tied player gets the same r, so relabelling cannot move draws
+        r = float(rng.random())
         perm = rng.permutation(n)
         g_perm = Network.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
         config_perm = np.empty(n, dtype=np.int8)
         config_perm[perm] = config
-        values_perm = np.empty(n)
-        values_perm[perm] = values
-        out = step(g, config, params, UpdateRule.main_greedy(), TieAssignment(values))
+        out = step(g, config, params, UpdateRule.main_greedy(), PresetDraws([r] * n))
         out_perm = step(g_perm, config_perm, params, UpdateRule.main_greedy(),
-                        TieAssignment(values_perm))
+                        PresetDraws([r] * n))
         assert np.array_equal(out_perm[perm], out)
 
 
@@ -426,15 +412,15 @@ def _python_counts(g, config):
 @pytest.mark.parametrize("rule_name", sorted(RULES))
 def test_run_equals_iterated_step(graphs, rule_name, graph_name):
     g, rule, params, init = _case(graphs, rule_name, graph_name)
-    run_ties = TieBreakStream(3)
+    run_ties = np.random.default_rng(3)
     trace = run(g, init, params, rule, run_ties, max_rounds=8, record_snapshots=True)
-    ties = TieBreakStream(3)
+    ties = np.random.default_rng(3)
     config = init
     for t, snapshot in enumerate(trace.snapshots[1:], start=1):
         config = step(g, config, params, rule, ties)
         assert np.array_equal(config, snapshot), f"round {t}"
     # both consumed the same number of draws
-    assert ties.draw() == run_ties.draw()
+    assert ties.random() == run_ties.random()
 
 
 @pytest.mark.parametrize("graph_name", ["torus", "regular", "gnp", "wheel", "complete"])
@@ -457,7 +443,7 @@ def test_step_matches_reference_at_high_degree(graphs, rule_name, graph_name):
 
     g, rule, params, config = _case(graphs, rule_name, graph_name)
     values = np.random.default_rng(2).random(g.vertex_count)
-    fast = step(g, config, params, rule, TieAssignment(values))
+    fast = step(g, config, params, rule, PresetDraws(values))
     slow = reference_step(g, config, params, values, rule=rule)
     assert fast.tolist() == slow
     # vertex 0 decides a genuine tie at k = 256, where a uint8 count reads 0
@@ -478,7 +464,7 @@ class TestDecisionTable:
         config = np.zeros(3, dtype=np.int8)
         with pytest.raises(ValueError, match="decision table"):
             step(triangle, config, MainParams(e_h=0.2, rho_h=0.23, rho_d=0.45),
-                 UpdateRule.main_greedy(), TieBreakStream(0), table=table)
+                 UpdateRule.main_greedy(), np.random.default_rng(0), table=table)
         with pytest.raises(ValueError, match="decision table"):
             step(triangle, config, grid_params, UpdateRule.main_no_hypocrisy(),
-                 TieBreakStream(0), table=table)
+                 np.random.default_rng(0), table=table)

@@ -18,7 +18,6 @@ import pytest
 
 from peerpressure import (
     MainParams,
-    TieBreakStream,
     TwoOrderParams,
     UpdateRule,
     build_torus_grid,
@@ -102,7 +101,7 @@ def test_snapshot_stack(rule_name, graph_name):
     g = GRAPHS[graph_name]()
     rng = np.random.default_rng([len(rule_name), g.vertex_count])
     init = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
-    trace = run(g, init, params, rule, TieBreakStream(7), max_rounds=12,
+    trace = run(g, init, params, rule, np.random.default_rng(7), max_rounds=12,
                 record_snapshots=True)
     stack = np.stack(trace.snapshots).astype(np.int8)
     assert sha256(stack.tobytes()) == SNAPSHOT_DIGESTS[rule_name, graph_name]

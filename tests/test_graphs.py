@@ -217,6 +217,19 @@ class TestMetrics:
         m = compute_metrics(petersen())
         assert (m.diameter, m.odd_girth, m.min_degree) == (2, 5, 3)
 
+    def test_one_bfs_per_source(self, monkeypatch, cycle6):
+        # the bipartition comes from the source-0 sweep, not from an extra BFS
+        import peerpressure.graphs as graphs
+
+        assert cycle6.is_connected()  # cached, so only the metric sweeps count
+        sources = []
+        real = graphs.bfs_distances
+        monkeypatch.setattr(graphs, "bfs_distances",
+                            lambda g, s: sources.append(s) or real(g, s))
+        m = compute_metrics(cycle6)
+        assert sources == list(range(6))
+        assert m.bipartition == ((0, 2, 4), (1, 3, 5))
+
     def test_diameter_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -275,6 +275,12 @@ class TestParamSerialization:
         p = params_from_dict({"e_h": 0.1, "rho_h": 0.2, "rho_d": 0.4, "epsilon": 0.01})
         assert p == MainParams(0.1, 0.2, 0.4)
 
+    def test_non_numeric_value_names_key(self):
+        with pytest.raises(ValueError, match="'e_h' must be a number"):
+            params_from_dict({"e_h": None, "rho_h": 0.2, "rho_d": 0.4})
+        with pytest.raises(ValueError, match="'rho_d' must be a number"):
+            params_from_dict({"e_h": 0.1, "rho_h": 0.2, "rho_d": [0.4]})
+
     def test_mixed_or_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="expected keys"):
             params_from_dict({"e_h": 0.1, "rho_h": 0.2, "rho_d": 0.4, "alpha1": 1.0})
