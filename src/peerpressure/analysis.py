@@ -60,11 +60,11 @@ class BoundAudit:
                 f"{converged},{str(self.satisfied).lower()}")
 
 
-def audit_convergence_bound(network: Network, metrics: GraphMetrics, trace: Trace,
-                            initial: np.ndarray) -> BoundAudit:
+def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.ndarray) -> BoundAudit:
     """Compare a greedy main-model run against its guaranteed round bound.
 
-    Inside the strict parameter window the dynamics provably reach full
+    Reads only ``trace.counts``, so the run needs no snapshots. Inside
+    the strict parameter window the dynamics provably reach full
     cooperation within ``3 * diameter + 1`` rounds on non-bipartite
     networks seeded with at least one non-defector, and within
     ``diameter + 1`` rounds on bipartite networks seeded with a
@@ -125,32 +125,29 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
     return grown == neighborhood(network, seeds)
 
 
-def check_reduction_equivalence(network: Network, initial_two_order: np.ndarray,
-                                params: TwoOrderParams, seed: int,
-                                rounds: int) -> bool:
-    """Does the two-order run collapse onto its rescaled main-model run?
+def check_reduction_equivalence(network: Network, trace: Trace, seed: int) -> bool:
+    """Does a two-order run collapse onto its rescaled main-model run?
 
-    Runs the two-order greedy dynamics from ``initial_two_order`` and the
-    main greedy dynamics from the collapsed configuration under the
-    rescaled parameters, both against a fresh draw stream built from the
-    same ``seed``, and demands identical configurations at every round
-    from 1 on (round 0 may differ: collapsing erases private
-    cooperators). Refuses unless ``alpha2 < beta2``, the regime in which
-    private cooperation is strictly dominated and the equivalence is
-    provable.
+    ``trace`` is a two-order greedy run on ``network`` with snapshots,
+    its draws taken from ``np.random.default_rng(seed)``. The check runs
+    the main greedy dynamics from the collapsed ``trace.snapshots[0]``
+    under the rescaled ``trace.params`` for ``trace.rounds`` rounds,
+    against a fresh draw stream built from the same ``seed``, and demands
+    identical configurations at every round from 1 on (round 0 may
+    differ: collapsing erases private cooperators). Refuses for a trace
+    under any other rule or without snapshots, and unless
+    ``alpha2 < beta2``, the regime in which private cooperation is
+    strictly dominated and the equivalence is provable.
     """
-    if not params.alpha2 < params.beta2:
+    if trace.rule.kind is not RuleKind.TWO_ORDER_GREEDY or trace.snapshots is None:
+        raise CheckRefused("reduction equivalence needs a two-order greedy trace with snapshots")
+    if not trace.params.alpha2 < trace.params.beta2:
         raise CheckRefused("reduction equivalence requires alpha2 < beta2")
-    trace_two = run(network, initial_two_order, params, UpdateRule.two_order_greedy(),
-                    np.random.default_rng(seed), max_rounds=rounds, record_snapshots=True)
-    trace_main = run(network, map_configuration(initial_two_order),
-                     map_two_order_params(params), UpdateRule.main_greedy(),
-                     np.random.default_rng(seed), max_rounds=rounds, record_snapshots=True)
-    for t in range(1, rounds + 1):
-        if not np.array_equal(map_configuration(trace_two.snapshots[t]),
-                              trace_main.snapshots[t]):
-            return False
-    return True
+    collapsed = run(network, map_configuration(trace.snapshots[0]),
+                    map_two_order_params(trace.params), UpdateRule.main_greedy(),
+                    np.random.default_rng(seed), max_rounds=trace.rounds, record_snapshots=True)
+    return all(np.array_equal(map_configuration(two_order), main)
+               for two_order, main in zip(trace.snapshots[1:], collapsed.snapshots[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .graphs import GenerationError, compute_metrics, read_edge_list, write_edge_list
 from .model import (
     MAIN_KEYS,
@@ -199,9 +197,8 @@ def cmd_verify(args) -> int:
     })
     lines = []
     all_ok = True
-    runs: dict = {}  # suite runs shared by several report names, this invocation only
     for name in names:
-        outcomes = SUITES[name](args.seed, args.instances, runs)
+        outcomes = SUITES[name](args.seed, args.instances)
         failed = [o for o in outcomes if not o.passed]
         all_ok = all_ok and not failed
         lines.extend(o.report_line(name) for o in outcomes)

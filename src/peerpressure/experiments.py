@@ -73,8 +73,7 @@ def derived_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
 
 def run_time_evolution(network: Network | NetworkSpec, params, epsilon: float,
                        rule: UpdateRule, seed: int, rounds: int,
-                       early_stop: bool = False,
-                       record_snapshots: bool = False) -> tuple[Network, Trace]:
+                       early_stop: bool = False) -> tuple[Network, Trace]:
     """One seeded run from a freshly sampled initial configuration.
 
     The initial configuration matches the rule: the usual
@@ -89,8 +88,7 @@ def run_time_evolution(network: Network | NetworkSpec, params, epsilon: float,
     init = _initial_sampler(rule)(network.vertex_count, epsilon,
                                   np.random.default_rng(derived_seed(seed, 1)))
     trace = run(network, init, params, rule, np.random.default_rng(derived_seed(seed, 2)),
-                max_rounds=rounds, early_stop=early_stop,
-                record_snapshots=record_snapshots)
+                max_rounds=rounds, early_stop=early_stop)
     return network, trace
 
 
@@ -171,8 +169,8 @@ class SweepSpec:
         record = dict(record)
         network = NetworkSpec(
             kind=record.pop("network"),
-            width=int(record.pop("width", 0)), height=int(record.pop("height", 0)),
-            n=int(record.pop("n", 0)), degree=int(record.pop("degree", 0)),
+            **{key: _sweep_value(key, record.pop(key, 0), int)
+               for key in ("width", "height", "n", "degree")},
         )
         kind = RuleKind(record.pop("rule", RuleKind.MAIN_GREEDY.value))
         default_p = 0.95 if kind is RuleKind.MAIN_NOISY else 1.0
@@ -186,10 +184,17 @@ class SweepSpec:
         kwargs = {}
         for key, cast in known.items():
             if key in record:
-                kwargs[key] = cast(record.pop(key))
+                kwargs[key] = _sweep_value(key, record.pop(key), cast)
         if record:
             raise ValueError(f"unknown sweep keys: {sorted(record)}")
         return cls(network=network, rule=rule, **kwargs)
+
+
+def _sweep_value(key: str, value, cast: type):
+    # int() would truncate 2.9 and bool() would read "false" as true
+    if cast is not float and type(value) is not cast:
+        raise ValueError(f"sweep key {key!r} must be a JSON {cast.__name__}, got {value!r}")
+    return cast(value)
 
 
 @dataclass

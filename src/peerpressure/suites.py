@@ -9,6 +9,7 @@ each guarantee's hypotheses, which every instance re-checks explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +135,10 @@ def reduction_suite(seed: int, instances: int = 100, max_n: int = 12,
         )
         init = sample_initial_two_order(g.vertex_count, float(rng.uniform(0.2, 0.8)), rng)
         run_seed = int(rng.integers(2**63))
-        ok = check_reduction_equivalence(g, init, params, run_seed, rounds)
-        equivalence.append(InstanceOutcome(i, ok, f"n={g.vertex_count}"))
         trace = run(g, init, params, UpdateRule.two_order_greedy(),
-                    np.random.default_rng(run_seed), max_rounds=rounds)
+                    np.random.default_rng(run_seed), max_rounds=rounds, record_snapshots=True)
+        ok = check_reduction_equivalence(g, trace, run_seed)
+        equivalence.append(InstanceOutcome(i, ok, f"n={g.vertex_count}"))
         stray = int(trace.counts[1:, Behavior.PRIVATE_COOPERATOR].sum())
         extinction.append(InstanceOutcome(i, stray == 0, f"stray_private={stray}"))
     return equivalence, extinction
@@ -206,8 +207,8 @@ def bound_suite(seed: int, instances: int = 50, max_n: int = 60) -> list[Instanc
                  else 3 * metrics.diameter + 1)
         trace = run(g, init, params, UpdateRule.main_greedy(),
                     np.random.default_rng(int(rng.integers(2**63))),
-                    max_rounds=bound + 3, record_snapshots=True)
-        audit = audit_convergence_bound(g, metrics, trace, init)
+                    max_rounds=bound + 3)
+        audit = audit_convergence_bound(metrics, trace, init)
         ok = audit.satisfied or not audit.bound_applicable
         outcomes.append(InstanceOutcome(i, ok, audit.report_line(i)))
     return outcomes
@@ -270,22 +271,20 @@ def _sized(suite, seed: int, instances: int | None):
     return suite(seed) if instances is None else suite(seed, instances)
 
 
-def _reduction_runs(seed: int, instances: int | None, runs: dict):
-    # reduction and extinction report on the same instances: run them once
-    if "reduction" not in runs:
-        runs["reduction"] = _sized(reduction_suite, seed, instances)
-    return runs["reduction"]
+@functools.lru_cache(maxsize=1)
+def _reduction_outcomes(seed: int, instances: int | None):
+    # reduction and extinction report on the same instances; the cache runs them once
+    equivalence, extinction = _sized(reduction_suite, seed, instances)
+    return tuple(equivalence), tuple(extinction)
 
 
-# Name -> callable(seed, instances, runs). ``instances`` is None for the
-# suite default; ``runs`` is a dict that lives for one ``verify``
-# invocation, so suites reporting on the same runs share them.
+# Name -> callable(seed, instances); ``instances`` None keeps the default.
 SUITES = {
-    "contagion": lambda seed, instances, runs: _sized(contagion_suite, seed, instances),
-    "reduction": lambda seed, instances, runs: _reduction_runs(seed, instances, runs)[0],
-    "extinction": lambda seed, instances, runs: _reduction_runs(seed, instances, runs)[1],
-    "oracle": lambda seed, instances, runs: _sized(oracle_suite, seed, instances),
-    "bounds": lambda seed, instances, runs: _sized(bound_suite, seed, instances),
-    "oscillation": lambda seed, instances, runs: oscillation_suite(seed),
-    "odd-girth": lambda seed, instances, runs: _sized(odd_girth_suite, seed, instances),
+    "contagion": lambda seed, instances: _sized(contagion_suite, seed, instances),
+    "reduction": lambda seed, instances: _reduction_outcomes(seed, instances)[0],
+    "extinction": lambda seed, instances: _reduction_outcomes(seed, instances)[1],
+    "oracle": lambda seed, instances: _sized(oracle_suite, seed, instances),
+    "bounds": lambda seed, instances: _sized(bound_suite, seed, instances),
+    "oscillation": lambda seed, instances: oscillation_suite(seed),
+    "odd-girth": lambda seed, instances: _sized(odd_girth_suite, seed, instances),
 }

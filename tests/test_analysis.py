@@ -101,7 +101,7 @@ class TestBoundAudit:
         trace = run(cycle6, init, self._window_params(), UpdateRule.main_noisy(0.9),
                     np.random.default_rng(0), max_rounds=4)
         with pytest.raises(CheckRefused, match="greedy"):
-            audit_convergence_bound(cycle6, metrics, trace, init)
+            audit_convergence_bound(metrics, trace, init)
 
     def test_refuses_outside_window(self, cycle6):
         metrics = compute_metrics(cycle6)
@@ -110,7 +110,7 @@ class TestBoundAudit:
         trace = run(cycle6, init, params, UpdateRule.main_greedy(),
                     np.random.default_rng(0), max_rounds=4)
         with pytest.raises(CheckRefused, match="window"):
-            audit_convergence_bound(cycle6, metrics, trace, init)
+            audit_convergence_bound(metrics, trace, init)
 
     def test_bipartite_needs_both_sides(self, cycle6):
         # a single seeded vertex leaves one class empty: bound inapplicable
@@ -119,7 +119,7 @@ class TestBoundAudit:
         init[0] = H
         trace = run(cycle6, init, self._window_params(), UpdateRule.main_greedy(),
                     np.random.default_rng(0), max_rounds=10)
-        audit = audit_convergence_bound(cycle6, metrics, trace, init)
+        audit = audit_convergence_bound(metrics, trace, init)
         assert not audit.bound_applicable
         assert audit.bound == metrics.diameter + 1
 
@@ -130,7 +130,7 @@ class TestBoundAudit:
         init[1] = C
         trace = run(cycle6, init, self._window_params(), UpdateRule.main_greedy(),
                     np.random.default_rng(0), max_rounds=metrics.diameter + 1)
-        audit = audit_convergence_bound(cycle6, metrics, trace, init)
+        audit = audit_convergence_bound(metrics, trace, init)
         assert audit.bound_applicable
         assert audit.satisfied
         assert audit.converged_round <= metrics.diameter + 1
@@ -143,7 +143,7 @@ class TestBoundAudit:
         bound = 3 * metrics.diameter + 1
         trace = run(torus5, init, params, UpdateRule.main_greedy(),
                     np.random.default_rng(0), max_rounds=bound)
-        audit = audit_convergence_bound(torus5, metrics, trace, init)
+        audit = audit_convergence_bound(metrics, trace, init)
         assert audit.bound == bound
         assert audit.bound_applicable and audit.satisfied
 
@@ -153,23 +153,48 @@ class TestBoundAudit:
         init = np.zeros(25, dtype=np.int8)
         trace = run(torus5, init, params, UpdateRule.main_greedy(),
                     np.random.default_rng(0), max_rounds=3)
-        audit = audit_convergence_bound(torus5, metrics, trace, init)
+        audit = audit_convergence_bound(metrics, trace, init)
         # all-defector start never moves: inapplicable, no convergence round
         assert audit.report_line(7) == "7,false,13,,false"
 
 
 class TestReductionCheck:
+    PARAMS = TwoOrderParams(alpha1=0.9, alpha2=0.1, beta1=0.23, beta2=0.22)
+
+    def _two_order_trace(self, network, params, seed, rounds=12):
+        init = np.random.default_rng(12).integers(0, 4, size=network.vertex_count)
+        return run(network, init.astype(np.int8), params, UpdateRule.two_order_greedy(),
+                   np.random.default_rng(seed), max_rounds=rounds, record_snapshots=True)
+
     def test_refuses_when_punishing_is_dear(self, triangle):
         params = TwoOrderParams(alpha1=1.0, alpha2=2.0, beta1=1.0, beta2=1.0)
+        trace = self._two_order_trace(triangle, params, seed=0, rounds=5)
         with pytest.raises(CheckRefused, match="alpha2 < beta2"):
-            check_reduction_equivalence(triangle, np.zeros(3, dtype=np.int8),
-                                        params, seed=0, rounds=5)
+            check_reduction_equivalence(triangle, trace, seed=0)
+
+    def test_refuses_trace_without_snapshots(self, torus5):
+        trace = run(torus5, np.zeros(25, dtype=np.int8), self.PARAMS,
+                    UpdateRule.two_order_greedy(), np.random.default_rng(8), max_rounds=3)
+        with pytest.raises(CheckRefused, match="snapshots"):
+            check_reduction_equivalence(torus5, trace, seed=8)
+
+    def test_refuses_main_rule_trace(self, torus5):
+        trace = run(torus5, np.zeros(25, dtype=np.int8), MainParams(0.1, 0.23, 0.45),
+                    UpdateRule.main_greedy(), np.random.default_rng(8), max_rounds=3,
+                    record_snapshots=True)
+        with pytest.raises(CheckRefused, match="two-order greedy trace"):
+            check_reduction_equivalence(torus5, trace, seed=8)
 
     def test_equivalence_on_mixed_start(self, torus5):
-        params = TwoOrderParams(alpha1=0.9, alpha2=0.1, beta1=0.23, beta2=0.22)
-        rng = np.random.default_rng(12)
-        init = rng.integers(0, 4, size=25).astype(np.int8)
-        assert check_reduction_equivalence(torus5, init, params, seed=8, rounds=12)
+        trace = self._two_order_trace(torus5, self.PARAMS, seed=8)
+        assert check_reduction_equivalence(torus5, trace, seed=8)
+
+    def test_rejects_tampered_snapshot(self, torus5):
+        # the check must be able to fail: flip one player after round 0
+        trace = self._two_order_trace(torus5, self.PARAMS, seed=8)
+        tampered = trace.snapshots[5]
+        tampered[3] = D if tampered[3] != D else C
+        assert not check_reduction_equivalence(torus5, trace, seed=8)
 
 
 class TestPresetDraws:

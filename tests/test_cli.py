@@ -188,6 +188,30 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
     assert "invalid sweep config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("fresh_network_per_repetition", "false"),
+    ("fresh_network_per_repetition", 0),
+    ("e_h_count", 2.9),
+    ("rounds", True),
+    ("master_seed", "9"),
+    ("n", 12.0),
+], ids=["fresh-string", "fresh-int", "count-float", "rounds-bool", "seed-string", "n-float"])
+def test_sweep_rejects_coerced_values(tmp_path, capsys, key, value):
+    # int() and bool() used to coerce these silently: "false" sampled a
+    # fresh network per repetition, 2.9 ran a 2-column grid
+    record = {"network": "regular", "n": 12, "degree": 3,
+              "e_h_count": 2, "rho_h_count": 2, "rho_d": 0.5,
+              "epsilon": 0.2, "rounds": 4, "repetitions": 2, "master_seed": 9,
+              "fresh_network_per_repetition": False}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**record, key: value}))
+    assert run_cli("sweep", str(cfg), "--out-prefix", str(tmp_path / "p")) == 2
+    captured = capsys.readouterr()
+    assert "invalid sweep config" in captured.err
+    assert repr(key) in captured.err
+    assert "effective-config" not in captured.out
+
+
 def test_sweep_rejects_p_greedy_for_greedy_rule(tmp_path, capsys):
     # p_greedy belongs to the noisy rule only; it must not vanish silently
     cfg = tmp_path / "sweep.json"
@@ -230,7 +254,7 @@ def test_verify_single_suite(tmp_path, capsys):
 def test_verify_failure_exits_one(monkeypatch, capsys):
     import peerpressure.cli as cli
 
-    fake = {"oracle": lambda seed, instances, runs: [InstanceOutcome(0, False, "rigged")]}
+    fake = {"oracle": lambda seed, instances: [InstanceOutcome(0, False, "rigged")]}
     monkeypatch.setattr(cli, "SUITES", fake)
     assert run_cli("verify", "oracle", "--seed", "0") == 1
     captured = capsys.readouterr()
@@ -251,6 +275,7 @@ def test_verify_rejects_non_positive_instances(instances, capsys):
 def test_verify_all_runs_the_reduction_suite_once(monkeypatch, tmp_path, capsys):
     import peerpressure.suites as suites
 
+    suites._reduction_outcomes.cache_clear()
     calls = []
     original = suites.reduction_suite
 
@@ -266,6 +291,27 @@ def test_verify_all_runs_the_reduction_suite_once(monkeypatch, tmp_path, capsys)
     stdout = capsys.readouterr().out
     assert "suite reduction: 4/4 passed" in stdout
     assert "suite extinction: 4/4 passed" in stdout
+
+
+def test_verify_reduction_runs_each_trajectory_once(monkeypatch, capsys):
+    # one two-order run and one collapsed main run per instance
+    import peerpressure.analysis as analysis
+    import peerpressure.suites as suites
+
+    suites._reduction_outcomes.cache_clear()
+    calls = []
+    original = suites.run
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].kind.value)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "run", counted)
+    monkeypatch.setattr(analysis, "run", counted)
+    assert run_cli("verify", "reduction", "--seed", "3", "--instances", "4") == 0
+    assert "suite reduction: 4/4 passed" in capsys.readouterr().out
+    assert len(calls) == 8
+    assert calls.count("two-order-greedy") == 4
 
 
 def test_verify_rejects_unknown_suite():
