@@ -60,17 +60,20 @@ class BoundAudit:
                 f"{converged},{str(self.satisfied).lower()}")
 
 
-def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.ndarray) -> BoundAudit:
-    """Compare a greedy main-model run against its guaranteed round bound.
+def convergence_bound(metrics: GraphMetrics) -> int:
+    """Round by which greedy main-model runs inside the strict parameter
+    window provably reach full cooperation: ``diameter + 1`` on bipartite
+    networks seeded with a non-defector on each side, ``3 * diameter + 1``
+    on other networks seeded with at least one non-defector."""
+    return metrics.diameter + 1 if metrics.is_bipartite else 3 * metrics.diameter + 1
 
-    Reads only ``trace.counts``, so the run needs no snapshots. Inside
-    the strict parameter window the dynamics provably reach full
-    cooperation within ``3 * diameter + 1`` rounds on non-bipartite
-    networks seeded with at least one non-defector, and within
-    ``diameter + 1`` rounds on bipartite networks seeded with a
-    non-defector on each side. Refuses (raises :class:`CheckRefused`)
-    for traces run under any other rule or with parameters outside the
-    window, where the bound claims nothing.
+
+def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.ndarray) -> BoundAudit:
+    """Compare a greedy main-model run against :func:`convergence_bound`.
+
+    Reads only ``trace.counts``, so the run needs no snapshots. Refuses
+    (raises :class:`CheckRefused`) for traces run under any other rule or
+    with parameters outside the window, where the bound claims nothing.
     """
     from .model import ConditionStatus, classify_main_conditions
 
@@ -85,10 +88,9 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
     if metrics.bipartition is not None:
         side_a, side_b = metrics.bipartition
         applicable = bool(nondefector[list(side_a)].any() and nondefector[list(side_b)].any())
-        bound = metrics.diameter + 1
     else:
         applicable = bool(nondefector.any())
-        bound = 3 * metrics.diameter + 1
+    bound = convergence_bound(metrics)
     converged = convergence_round(trace)
     satisfied = converged is not None and converged <= bound
     return BoundAudit(bound_applicable=applicable, bound=bound,
@@ -173,8 +175,7 @@ class PresetDraws:
         return block
 
 
-def reference_step(network: Network, config, params, draws,
-                   rule: UpdateRule | None = None) -> list[int]:
+def reference_step(network: Network, config, params, draws, rule: UpdateRule) -> list[int]:
     """One revision round recomputed the slow, obvious way.
 
     Pure-Python loops, costs written out literally, behaviours compared
@@ -182,12 +183,8 @@ def reference_step(network: Network, config, params, draws,
     :func:`peerpressure.dynamics.step`, its only common ground being the
     documented tie sub-interval convention. The i-th tied player, in
     ascending index, decides with the uniform ``draws[i]``, as ``step``
-    does when fed ``PresetDraws(draws)``. The rule defaults to the greedy
-    rule matching the parameter type.
+    does when fed ``PresetDraws(draws)``.
     """
-    if rule is None:
-        rule = (UpdateRule.two_order_greedy() if isinstance(params, TwoOrderParams)
-                else UpdateRule.main_greedy())
     if rule.kind is RuleKind.MAIN_NOISY:
         raise ValueError("reference stepper only covers greedy rules")
 

@@ -10,6 +10,7 @@ for sweeps, independent of how many workers execute the cells.
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ import numpy as np
 from .graphs import Network, build_torus_grid, sample_random_regular
 from .model import (
     MainParams,
+    check_epsilon,
+    finite_number,
     sample_initial_binary,
     sample_initial_main,
     sample_initial_two_order,
@@ -102,10 +105,11 @@ class SweepSpec:
     """A grid of (e_h, rho_h) cells swept at fixed rho_d.
 
     Axis values are inclusive linspaces; a count of 1 pins the axis to its
-    minimum. Each cell runs ``repetitions`` independent repetitions of
-    exactly ``rounds`` rounds, each from a fresh initial configuration
-    (and, with ``fresh_network_per_repetition``, a freshly sampled
-    network), recording the mean behaviour fractions of the final round.
+    minimum, and a ``rho_h_max`` of None becomes ``rho_d`` on construction.
+    Each cell runs ``repetitions`` independent repetitions of exactly
+    ``rounds`` rounds, each from a fresh initial configuration (and, with
+    ``fresh_network_per_repetition``, a freshly sampled network),
+    recording the mean behaviour fractions of the final round.
     """
 
     network: NetworkSpec
@@ -130,10 +134,12 @@ class SweepSpec:
             raise ValueError("rounds and repetitions must be >= 1")
         if self.rule.kind not in (RuleKind.MAIN_GREEDY, RuleKind.MAIN_NOISY):
             raise ValueError("sweeps cover main-model rules only")
+        check_epsilon(self.epsilon)
         if not 0.0 <= self.e_h_min <= self.e_h_max <= 1.0:
             raise ValueError("e_h range must satisfy 0 <= min <= max <= 1")
-        hi = self.rho_d if self.rho_h_max is None else self.rho_h_max
-        if not 0.0 <= self.rho_h_min <= hi <= self.rho_d:
+        if self.rho_h_max is None:
+            object.__setattr__(self, "rho_h_max", self.rho_d)
+        if not 0.0 <= self.rho_h_min <= self.rho_h_max <= self.rho_d:
             raise ValueError("rho_h range must satisfy 0 <= min <= max <= rho_d")
         if self.fresh_network_per_repetition and self.network.kind != "regular":
             raise ValueError("fresh networks only make sense for sampled networks")
@@ -142,8 +148,7 @@ class SweepSpec:
         return np.linspace(self.e_h_min, self.e_h_max, self.e_h_count)
 
     def rho_h_values(self) -> np.ndarray:
-        hi = self.rho_d if self.rho_h_max is None else self.rho_h_max
-        return np.linspace(self.rho_h_min, hi, self.rho_h_count)
+        return np.linspace(self.rho_h_min, self.rho_h_max, self.rho_h_count)
 
     def to_dict(self) -> dict:
         flat: dict = {"network": self.network.kind}
@@ -153,8 +158,7 @@ class SweepSpec:
                 flat[key] = value
         flat.update(
             e_h_count=self.e_h_count, e_h_min=self.e_h_min, e_h_max=self.e_h_max,
-            rho_h_count=self.rho_h_count, rho_h_min=self.rho_h_min,
-            rho_h_max=self.rho_d if self.rho_h_max is None else self.rho_h_max,
+            rho_h_count=self.rho_h_count, rho_h_min=self.rho_h_min, rho_h_max=self.rho_h_max,
             rho_d=self.rho_d, epsilon=self.epsilon, rounds=self.rounds,
             repetitions=self.repetitions, rule=self.rule.kind.value,
             master_seed=self.master_seed,
@@ -174,7 +178,7 @@ class SweepSpec:
         )
         kind = RuleKind(record.pop("rule", RuleKind.MAIN_GREEDY.value))
         default_p = 0.95 if kind is RuleKind.MAIN_NOISY else 1.0
-        rule = UpdateRule(kind, float(record.pop("p_greedy", default_p)))
+        rule = UpdateRule(kind, finite_number("p_greedy", record.pop("p_greedy", default_p)))
         known = {
             "e_h_count": int, "rho_h_count": int, "rho_d": float, "epsilon": float,
             "rounds": int, "repetitions": int, "master_seed": int,
@@ -192,7 +196,9 @@ class SweepSpec:
 
 def _sweep_value(key: str, value, cast: type):
     # int() would truncate 2.9 and bool() would read "false" as true
-    if cast is not float and type(value) is not cast:
+    if cast is float:
+        return finite_number(key, value)
+    if type(value) is not cast:
         raise ValueError(f"sweep key {key!r} must be a JSON {cast.__name__}, got {value!r}")
     return cast(value)
 
@@ -244,11 +250,6 @@ def _run_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
     return total / spec.repetitions
 
 
-def _cell_task(args: tuple) -> tuple[int, int, np.ndarray]:
-    spec, i, j = args
-    return i, j, _run_cell(spec, i, j)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> PhaseDiagram:
     """Sweep the whole grid; output does not depend on ``workers``.
 
@@ -256,22 +257,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> PhaseDiagram:
     scheduling order cannot influence any cell's result; parallel runs
     only change wall-clock time.
     """
-    cells = [(spec, i, j) for i in range(spec.e_h_count) for j in range(spec.rho_h_count)]
-    fractions = np.zeros((spec.e_h_count, spec.rho_h_count, 3))
-
-    def collect(results) -> None:
-        for i, j, fracs in results:
-            fractions[i, j] = fracs
-
+    rows, cols = zip(*itertools.product(range(spec.e_h_count), range(spec.rho_h_count)))
+    specs = itertools.repeat(spec)  # map stops at the shortest sequence
     if workers <= 1:
-        collect(map(_cell_task, cells))
+        results = list(map(_run_cell, specs, rows, cols))
     else:
         # the pool shuts down (and its workers exit) even when a cell raises
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            chunk = max(1, len(cells) // (workers * 8))
-            collect(executor.map(_cell_task, cells, chunksize=chunk))
-    return PhaseDiagram(e_h_values=spec.e_h_values(),
-                        rho_h_values=spec.rho_h_values(), fractions=fractions)
+            chunk = max(1, len(rows) // (workers * 8))
+            results = list(executor.map(_run_cell, specs, rows, cols, chunksize=chunk))
+    return PhaseDiagram(e_h_values=spec.e_h_values(), rho_h_values=spec.rho_h_values(),
+                        fractions=np.array(results).reshape(spec.e_h_count, spec.rho_h_count, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,7 @@ def build_torus_grid(width: int, height: int) -> Network:
     return Network(np.arange(0, 4 * n + 1, 4), columns.ravel())
 
 
-def sample_random_regular(n: int, d: int, rng: np.random.Generator,
-                          max_restarts: int = 100) -> Network:
+def sample_random_regular(n: int, d: int, rng: np.random.Generator) -> Network:
     """Sample a connected d-regular graph on at most ``n`` vertices.
 
     Edges are added one at a time between two distinct vertices of degree
@@ -191,19 +190,18 @@ def sample_random_regular(n: int, d: int, rng: np.random.Generator,
     Raises
     ------
     GenerationError
-        If no connected d-regular graph is produced in ``max_restarts``
-        attempts.
+        If no connected d-regular graph is produced in 100 attempts.
     """
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
     if n <= d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
-    for _ in range(max_restarts):
+    for _ in range(100):
         g = _try_pairing(n, d, rng)
         if g is not None and g.is_connected():
             return g
     raise GenerationError(
-        f"no connected {d}-regular graph on <= {n} vertices in {max_restarts} attempts")
+        f"no connected {d}-regular graph on <= {n} vertices in 100 attempts")
 
 
 def _try_pairing(n: int, d: int, rng: np.random.Generator) -> Network | None:

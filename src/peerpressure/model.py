@@ -20,6 +20,8 @@ Configurations are numpy int8 vectors of behaviour codes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, asdict
 from enum import Enum, IntEnum
 
@@ -34,14 +36,6 @@ class Behavior(IntEnum):
     COOPERATOR = 2
     PRIVATE_COOPERATOR = 3
 
-    @property
-    def contributes(self) -> bool:
-        return self in (Behavior.COOPERATOR, Behavior.PRIVATE_COOPERATOR)
-
-    @property
-    def punishes(self) -> bool:
-        return self in (Behavior.COOPERATOR, Behavior.HYPOCRITICAL)
-
 
 MAIN_BEHAVIORS = (Behavior.DEFECTOR, Behavior.HYPOCRITICAL, Behavior.COOPERATOR)
 TWO_ORDER_BEHAVIORS = MAIN_BEHAVIORS + (Behavior.PRIVATE_COOPERATOR,)
@@ -54,6 +48,16 @@ TIE_PRIORITY = (
     Behavior.DEFECTOR,
     Behavior.PRIVATE_COOPERATOR,
 )
+
+
+def finite_number(key: str, value) -> float:
+    """``value`` as a float; a bool, a non-number or a non-finite value
+    raises ``ValueError`` naming ``key`` (NaN would pass any range check)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {value!r}")
+    return float(value)
 
 
 class ConditionStatus(Enum):
@@ -81,7 +85,7 @@ class MainParams:
     The model regime is ``0 < e_h < 1`` with positive pressures, but
     boundary and degenerate values are accepted so that parameter sweeps
     can cover full axis ranges; :meth:`regime_notes` reports anything out
-    of regime instead of rejecting it.
+    of regime instead of rejecting it. Every value must be a finite number.
     """
 
     e_h: float
@@ -89,6 +93,8 @@ class MainParams:
     rho_d: float
 
     def __post_init__(self) -> None:
+        for name in MAIN_KEYS:
+            finite_number(name, getattr(self, name))
         if not 0.0 <= self.e_h <= 1.0:
             raise ValueError(f"e_h must lie in [0, 1], got {self.e_h}")
         if self.rho_h < 0.0:
@@ -109,7 +115,7 @@ class MainParams:
 
 @dataclass(frozen=True)
 class TwoOrderParams:
-    """Two-order model parameters; all four costs must be positive."""
+    """Two-order model parameters; all four costs must be positive and finite."""
 
     alpha1: float
     alpha2: float
@@ -117,8 +123,8 @@ class TwoOrderParams:
     beta2: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            if getattr(self, name) <= 0.0:
+        for name in TWO_ORDER_KEYS:
+            if finite_number(name, getattr(self, name)) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
@@ -171,9 +177,10 @@ def cost_two_order(behavior: Behavior, punishing_neighbors, params: TwoOrderPara
 # ---------------------------------------------------------------------------
 
 
-def _check_epsilon(epsilon: float) -> None:
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless the initial non-defector share lies in (0, 1)."""
     if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
+        raise ValueError(f"'epsilon' must lie strictly between 0 and 1, got {epsilon}")
 
 
 def sample_initial_main(n: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
@@ -182,7 +189,7 @@ def sample_initial_main(n: int, epsilon: float, rng: np.random.Generator) -> np.
     One uniform per vertex; the interval [1-eps, 1-eps/2) maps to
     hypocrite and [1-eps/2, 1) to cooperator.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     u = rng.random(n)
     config = np.zeros(n, dtype=np.int8)
     config[u >= 1.0 - epsilon] = Behavior.HYPOCRITICAL
@@ -196,7 +203,7 @@ def sample_initial_two_order(n: int, epsilon: float, rng: np.random.Generator) -
     The residual interval maps to cooperator, hypocrite, private
     cooperator in that order.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     u = rng.random(n)
     config = np.zeros(n, dtype=np.int8)
     config[u >= 1.0 - epsilon] = Behavior.COOPERATOR
@@ -207,7 +214,7 @@ def sample_initial_two_order(n: int, epsilon: float, rng: np.random.Generator) -
 
 def sample_initial_binary(n: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
     """Defector w.p. 1-epsilon, cooperator otherwise (no hypocrites)."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     u = rng.random(n)
     config = np.zeros(n, dtype=np.int8)
     config[u >= 1.0 - epsilon] = Behavior.COOPERATOR
@@ -305,8 +312,8 @@ def params_from_dict(record: dict) -> MainParams | TwoOrderParams:
     """Build parameters from a flat mapping; the key set picks the model.
 
     A parameter set is either all of :data:`MAIN_KEYS` or all of
-    :data:`TWO_ORDER_KEYS`; keys outside both are ignored. A value that
-    is not a number raises ``ValueError`` naming its key.
+    :data:`TWO_ORDER_KEYS`; keys outside both are ignored. Each value
+    passes :func:`finite_number`.
     """
     expected = f"expected keys {MAIN_KEYS} or {TWO_ORDER_KEYS}"
     main = [k for k in MAIN_KEYS if k in record]
@@ -318,10 +325,5 @@ def params_from_dict(record: dict) -> MainParams | TwoOrderParams:
     missing = [k for k in keys if k not in record]
     if missing:
         raise ValueError(f"missing parameter {', '.join(map(repr, missing))}; {expected}")
-    values = {}
-    for k in keys:
-        try:
-            values[k] = float(record[k])
-        except (TypeError, ValueError):
-            raise ValueError(f"parameter {k!r} must be a number, got {record[k]!r}") from None
+    values = {k: finite_number(k, record[k]) for k in keys}
     return TwoOrderParams(**values) if two_order else MainParams(**values)

@@ -30,6 +30,7 @@ from .analysis import (
     audit_convergence_bound,
     check_contagion,
     check_reduction_equivalence,
+    convergence_bound,
     convergence_round,
     reference_step,
 )
@@ -88,14 +89,15 @@ def _plant_nondefectors(config: np.ndarray, rng: np.random.Generator) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def contagion_suite(seed: int, instances: int = 200, max_n: int = 200) -> list[InstanceOutcome]:
+def contagion_suite(seed: int, instances: int = 200) -> list[InstanceOutcome]:
     """Greedy main-model runs where open defection is the dearest escape:
     the non-defector set must evolve as the exact neighbourhood map,
-    every round of every run."""
+    every round of every run. Each run is ``2 * diameter + 3`` rounds on a
+    connected graph of at most 200 vertices from the mixed families."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     outcomes = []
     for i in range(instances):
-        g = _random_connected_network(rng, max_n)
+        g = _random_connected_network(rng, 200)
         e_h = float(rng.uniform(0.05, 0.9))
         rho_h = float(rng.uniform(0.01, 1.0))
         rho_d = (e_h + rho_h) * float(rng.uniform(1.05, 2.0))
@@ -113,19 +115,20 @@ def contagion_suite(seed: int, instances: int = 200, max_n: int = 200) -> list[I
     return outcomes
 
 
-def reduction_suite(seed: int, instances: int = 100, max_n: int = 12,
-                    rounds: int = 20) -> tuple[list[InstanceOutcome], list[InstanceOutcome]]:
+def reduction_suite(seed: int,
+                    instances: int = 100) -> tuple[list[InstanceOutcome], list[InstanceOutcome]]:
     """Two-order runs against their rescaled main-model runs.
 
-    Returns two outcome lists over the same instances: trajectory
-    equivalence at every round from 1, and extinction of private
-    cooperation from round 1 on.
+    Each instance runs 20 rounds on a connected G(n, p) graph of 3 to 12
+    vertices. Returns two outcome lists over the same instances:
+    trajectory equivalence at every round from 1, and extinction of
+    private cooperation from round 1 on.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     equivalence = []
     extinction = []
     for i in range(instances):
-        g = _random_gnp(rng, int(rng.integers(3, max_n + 1)))
+        g = _random_gnp(rng, int(rng.integers(3, 13)))
         beta2 = float(rng.uniform(0.1, 2.0))
         params = TwoOrderParams(
             alpha1=float(rng.uniform(0.1, 2.0)),
@@ -136,7 +139,7 @@ def reduction_suite(seed: int, instances: int = 100, max_n: int = 12,
         init = sample_initial_two_order(g.vertex_count, float(rng.uniform(0.2, 0.8)), rng)
         run_seed = int(rng.integers(2**63))
         trace = run(g, init, params, UpdateRule.two_order_greedy(),
-                    np.random.default_rng(run_seed), max_rounds=rounds, record_snapshots=True)
+                    np.random.default_rng(run_seed), max_rounds=20, record_snapshots=True)
         ok = check_reduction_equivalence(g, trace, run_seed)
         equivalence.append(InstanceOutcome(i, ok, f"n={g.vertex_count}"))
         stray = int(trace.counts[1:, Behavior.PRIVATE_COOPERATOR].sum())
@@ -144,18 +147,19 @@ def reduction_suite(seed: int, instances: int = 100, max_n: int = 12,
     return equivalence, extinction
 
 
-def oracle_suite(seed: int, instances: int = 1000, max_n: int = 12) -> list[InstanceOutcome]:
+def oracle_suite(seed: int, instances: int = 1000) -> list[InstanceOutcome]:
     """Vectorised stepper against the naive reference stepper.
 
-    Instances mix both models, all three greedy rules, and wild and
-    deliberately tie-rich parameter values; both steppers get the same
-    preset draws, so exact agreement also pins the tie-draw order.
+    Each instance is one step on a connected G(n, p) graph of 2 to 12
+    vertices. Instances mix both models, all three greedy rules, and wild
+    and deliberately tie-rich parameter values; both steppers get the
+    same preset draws, so exact agreement also pins the tie-draw order.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 303]))
     tie_rich = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
     outcomes = []
     for i in range(instances):
-        n = int(rng.integers(2, max_n + 1))
+        n = int(rng.integers(2, 13))
         g = _random_gnp(rng, n, p=float(rng.uniform(0.2, 0.9)))
         kind = int(rng.integers(0, 4))
         dyadic = bool(rng.integers(0, 2))
@@ -183,17 +187,19 @@ def oracle_suite(seed: int, instances: int = 1000, max_n: int = 12) -> list[Inst
     return outcomes
 
 
-def bound_suite(seed: int, instances: int = 50, max_n: int = 60) -> list[InstanceOutcome]:
+def bound_suite(seed: int, instances: int = 50) -> list[InstanceOutcome]:
     """Seeded runs inside the convergence window against their round bound.
 
-    Initial densities are high enough that the seeding hypothesis holds in
-    almost every instance; instances where it fails are recorded as
-    inapplicable and pass vacuously, since the bound claims nothing there.
+    Each instance is a connected graph of at most 60 vertices from the
+    mixed families, run for three rounds past its bound. Initial
+    densities are high enough that the seeding hypothesis holds in almost
+    every instance; instances where it fails are recorded as inapplicable
+    and pass vacuously, since the bound claims nothing there.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
     outcomes = []
     for i in range(instances):
-        g = _random_connected_network(rng, max_n)
+        g = _random_connected_network(rng, 60)
         metrics = compute_metrics(g)
         e_h = float(rng.uniform(0.05, 0.6))
         lower = (1.0 - e_h) / metrics.min_degree
@@ -203,24 +209,23 @@ def bound_suite(seed: int, instances: int = 50, max_n: int = 60) -> list[Instanc
         assert classify_main_conditions(params, metrics.min_degree) is ConditionStatus.SATISFIED
         init = _plant_nondefectors(
             sample_initial_main(g.vertex_count, 0.3, rng), rng)
-        bound = (metrics.diameter + 1 if metrics.is_bipartite
-                 else 3 * metrics.diameter + 1)
         trace = run(g, init, params, UpdateRule.main_greedy(),
                     np.random.default_rng(int(rng.integers(2**63))),
-                    max_rounds=bound + 3)
+                    max_rounds=convergence_bound(metrics) + 3)
         audit = audit_convergence_bound(metrics, trace, init)
         ok = audit.satisfied or not audit.bound_applicable
         outcomes.append(InstanceOutcome(i, ok, audit.report_line(i)))
     return outcomes
 
 
-def oscillation_suite(seed: int = 0, rounds: int = 52) -> list[InstanceOutcome]:
+def oscillation_suite(seed: int) -> list[InstanceOutcome]:
     """The tightness construction for the bipartite seeding hypothesis.
 
     A small side of size equal to the minimum degree is wired to every
     vertex of the large side and starts all-defector; the guarantee's
     both-sides hypothesis fails and the configuration must alternate with
-    period exactly 2 once the transient has cleared (round 2 on).
+    period exactly 2 once the transient has cleared (round 2 on). The two
+    instances are K(3, 7) and K(5, 11), run for 52 rounds each.
     """
     outcomes = []
     for idx, (small, total) in enumerate([(3, 10), (5, 16)]):
@@ -236,11 +241,11 @@ def oscillation_suite(seed: int = 0, rounds: int = 52) -> list[InstanceOutcome]:
         init[small + 1] = Behavior.COOPERATOR
         trace = run(g, init, params, UpdateRule.main_greedy(),
                     np.random.default_rng(np.random.SeedSequence([seed, 505, idx])),
-                    max_rounds=rounds, record_snapshots=True)
+                    max_rounds=52, record_snapshots=True)
         snaps = trace.snapshots
         alternates = all(
             np.array_equal(snaps[t], snaps[t + 2]) and not np.array_equal(snaps[t], snaps[t + 1])
-            for t in range(2, rounds - 1))
+            for t in range(2, trace.rounds - 1))
         never_converges = convergence_round(trace) is None
         outcomes.append(InstanceOutcome(
             idx, alternates and never_converges,
@@ -248,14 +253,15 @@ def oscillation_suite(seed: int = 0, rounds: int = 52) -> list[InstanceOutcome]:
     return outcomes
 
 
-def odd_girth_suite(seed: int, instances: int = 100, max_n: int = 60) -> list[InstanceOutcome]:
+def odd_girth_suite(seed: int, instances: int = 100) -> list[InstanceOutcome]:
     """Shortest odd cycle versus diameter on random non-bipartite graphs:
-    the odd girth can never exceed twice the diameter plus one."""
+    the odd girth can never exceed twice the diameter plus one. Each
+    instance is a connected non-bipartite G(n, p) graph of 5 to 60 vertices."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 606]))
     outcomes = []
     for i in range(instances):
         while True:
-            g = _random_gnp(rng, int(rng.integers(5, max_n + 1)),
+            g = _random_gnp(rng, int(rng.integers(5, 61)),
                             p=float(rng.uniform(0.08, 0.4)))
             metrics = compute_metrics(g)
             if not metrics.is_bipartite:

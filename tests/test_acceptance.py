@@ -171,7 +171,7 @@ def test_criterion_05_phase_band():
 
 def test_criterion_06_contagion_suite():
     """Non-defector set equals the neighbourhood map, 200 random instances."""
-    outcomes = contagion_suite(20, instances=200, max_n=200)
+    outcomes = contagion_suite(20, instances=200)
     bad = [o.instance_id for o in outcomes if not o.passed]
     report(6, "contagion-invariant", len(outcomes) == 200 and not bad, f"failed={bad}")
 
@@ -194,14 +194,14 @@ def test_criterion_08_private_cooperator_extinction(reduction_outcomes):
 
 def test_criterion_09_odd_girth():
     """Shortest odd cycle is at most 2*diameter+1, 100 random instances."""
-    outcomes = odd_girth_suite(22, instances=100, max_n=60)
+    outcomes = odd_girth_suite(22, instances=100)
     bad = [o.instance_id for o in outcomes if not o.passed]
     report(9, "odd-girth-bound", len(outcomes) == 100 and not bad, f"failed={bad}")
 
 
 def test_criterion_10_bipartite_oscillation():
     """All-defector small side forces a period-2 alternation forever."""
-    outcomes = oscillation_suite()
+    outcomes = oscillation_suite(0)
     suite_ok = all(o.passed for o in outcomes)
 
     # canonical instance: small side all-defector, large side all-cooperator
@@ -224,7 +224,7 @@ def test_criterion_10_bipartite_oscillation():
 
 def test_criterion_11_oracle_equivalence():
     """Vectorised stepper matches the naive reference on 1000 instances."""
-    outcomes = oracle_suite(23, instances=1000, max_n=12)
+    outcomes = oracle_suite(23, instances=1000)
     bad = [o.instance_id for o in outcomes if not o.passed]
     report(11, "oracle-equivalence", len(outcomes) == 1000 and not bad,
            f"mismatches={bad}")

@@ -93,11 +93,14 @@ TWO_ORDER_FLAGS = ("--alpha1", "0.9", "--alpha2", "0.1", "--beta1", "0.23", "--b
     ((), [0.1, 0.23, 0.45], "expected a flat JSON object"),
     ((), {"e_h": None, "rho_h": 0.23, "rho_d": 0.45}, "'e_h' must be a number"),
     ((), {"e_h": [0.1], "rho_h": 0.23, "rho_d": 0.45}, "'e_h' must be a number"),
+    ((), {"e_h": True, "rho_h": 0.23, "rho_d": 0.45}, "'e_h' must be a number"),
+    ((), {"e_h": 0.1, "rho_h": "0.45", "rho_d": 0.45}, "'rho_h' must be a number"),
     ((), {"e_h": 0.1, "rho_h": 0.23, "rho_d": 0.45, "epsilon": 0.5, "seed": 1},
      "unknown parameter keys ['epsilon', 'seed']"),
 ], ids=["mixed-flags", "flags-over-config", "two-order-with-main-keys",
         "two-order-keys-without-flag", "config-not-object", "config-null-value",
-        "config-list-value", "config-non-parameter-keys"])
+        "config-list-value", "config-bool-value", "config-string-value",
+        "config-non-parameter-keys"])
 def test_simulate_rejects_mismatched_params(tmp_path, capsys, argv, config, message):
     # the mixed-flag case used to run and drop alpha1 silently
     if config is not None:
@@ -105,6 +108,25 @@ def test_simulate_rejects_mismatched_params(tmp_path, capsys, argv, config, mess
         cfg.write_text(json.dumps(config))
         argv += ("--config", str(cfg))
     assert run_cli("simulate", "--torus", "5", "5", "--seed", "0", *argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "effective-config" not in captured.out
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("--e-h", "0.1", "--rho-h", "inf", "--rho-d", "inf"), None, "'rho_h' must be finite"),
+    ((), {"e_h": 0.1, "rho_h": 0.23, "rho_d": float("nan")}, "'rho_d' must be finite"),
+    (("--two-order", "--alpha1", "nan") + TWO_ORDER_FLAGS[2:], None,
+     "'alpha1' must be finite"),
+], ids=["flags", "config", "two-order"])
+def test_simulate_rejects_non_finite_params(tmp_path, capsys, argv, config, message):
+    # NaN fails every range comparison and used to run, printing NaN into
+    # the effective config
+    if config is not None:
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(config))
+        argv += ("--config", str(cfg))
+    assert run_cli("simulate", "--torus", "5", "5", "--rounds", "3", "--seed", "1", *argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert "effective-config" not in captured.out
@@ -195,10 +217,17 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
     ("rounds", True),
     ("master_seed", "9"),
     ("n", 12.0),
-], ids=["fresh-string", "fresh-int", "count-float", "rounds-bool", "seed-string", "n-float"])
+    ("epsilon", "0.2"),
+    ("epsilon", True),
+    ("epsilon", 0),
+    ("p_greedy", "0.5"),
+    ("rho_d", float("inf")),
+], ids=["fresh-string", "fresh-int", "count-float", "rounds-bool", "seed-string", "n-float",
+        "epsilon-string", "epsilon-bool", "epsilon-zero", "p-greedy-string", "rho-d-infinity"])
 def test_sweep_rejects_coerced_values(tmp_path, capsys, key, value):
-    # int() and bool() used to coerce these silently: "false" sampled a
-    # fresh network per repetition, 2.9 ran a 2-column grid
+    # int(), bool() and float() used to coerce these silently: "false"
+    # sampled a fresh network per repetition, 2.9 ran a 2-column grid,
+    # true ran epsilon 1.0, and Infinity wrote nan and inf rho_h values
     record = {"network": "regular", "n": 12, "degree": 3,
               "e_h_count": 2, "rho_h_count": 2, "rho_d": 0.5,
               "epsilon": 0.2, "rounds": 4, "repetitions": 2, "master_seed": 9,

@@ -163,8 +163,8 @@ class TestRandomRegular:
 
     def test_impossible_target_raises(self):
         # d=1 on four vertices always yields two disjoint edges
-        with pytest.raises(GenerationError):
-            sample_random_regular(4, 1, np.random.default_rng(0), max_restarts=10)
+        with pytest.raises(GenerationError, match="in 100 attempts"):
+            sample_random_regular(4, 1, np.random.default_rng(0))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -34,18 +34,6 @@ def test_behavior_codes_are_stable():
                              Behavior.COOPERATOR, Behavior.PRIVATE_COOPERATOR)] == [0, 1, 2, 3]
 
 
-def test_behavior_axes():
-    table = {
-        Behavior.DEFECTOR: (False, False),
-        Behavior.HYPOCRITICAL: (False, True),
-        Behavior.COOPERATOR: (True, True),
-        Behavior.PRIVATE_COOPERATOR: (True, False),
-    }
-    for b, (contributes, punishes) in table.items():
-        assert b.contributes == contributes
-        assert b.punishes == punishes
-
-
 def test_tie_priority_prefers_cooperation():
     assert TIE_PRIORITY[0] is Behavior.COOPERATOR
     assert TIE_PRIORITY[1] is Behavior.HYPOCRITICAL
@@ -122,6 +110,12 @@ class TestParamValidation:
             MainParams(e_h=0.1, rho_h=-0.2, rho_d=0.4)
         with pytest.raises(ValueError):
             MainParams(e_h=0.1, rho_h=0.2, rho_d=0.0)
+        # NaN fails every range comparison, so only the finiteness check stops it
+        for key in ("e_h", "rho_h", "rho_d"):
+            for value in (math.nan, math.inf):
+                kwargs = {"e_h": 0.1, "rho_h": 0.2, "rho_d": 0.4, key: value}
+                with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+                    MainParams(**kwargs)
 
     def test_boundary_values_allowed_with_notes(self):
         notes = MainParams(e_h=0.0, rho_h=0.5, rho_d=0.4).regime_notes()
@@ -134,6 +128,11 @@ class TestParamValidation:
             kwargs = {"alpha1": 1.0, "alpha2": 1.0, "beta1": 1.0, "beta2": 1.0, **bad}
             with pytest.raises(ValueError):
                 TwoOrderParams(**kwargs)
+        for key in ("alpha1", "alpha2", "beta1", "beta2"):
+            for value in (math.nan, math.inf):
+                kwargs = {"alpha1": 1.0, "alpha2": 1.0, "beta1": 1.0, "beta2": 1.0, key: value}
+                with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+                    TwoOrderParams(**kwargs)
 
 
 class TestParamMapping:
