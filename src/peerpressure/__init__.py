@@ -35,7 +35,6 @@ from .model import (
     map_configuration,
     map_two_order_params,
     params_from_dict,
-    params_to_dict,
     sample_initial_binary,
     sample_initial_main,
     sample_initial_two_order,

@@ -97,11 +97,11 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
                       converged_round=converged, satisfied=satisfied)
 
 
-def neighborhood(network: Network, vertices: set[int]) -> set[int]:
-    """Union of the neighbour sets of ``vertices``."""
-    chosen = np.zeros(network.vertex_count, dtype=bool)
-    chosen[list(vertices)] = True
-    return set(network.indices[chosen[network.neighbor_src]].tolist())
+def neighborhood(network: Network, chosen: np.ndarray) -> np.ndarray:
+    """Mask of the vertices with a neighbour in the boolean mask ``chosen``."""
+    grown = np.zeros(network.vertex_count, dtype=bool)
+    grown[network.indices[chosen[network.neighbor_src]]] = True
+    return grown
 
 
 def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
@@ -120,11 +120,13 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
         raise CheckRefused("contagion requires e_h > 0")
     before = np.asarray(before, dtype=np.int8)
     after = np.asarray(after, dtype=np.int8)
+    n = network.vertex_count
+    if before.shape != (n,) or after.shape != (n,):
+        raise ValueError(f"configuration shapes {before.shape}, {after.shape} do not match n={n}")
     if before.max(initial=0) > Behavior.COOPERATOR or after.max(initial=0) > Behavior.COOPERATOR:
         raise CheckRefused("contagion is a main-model check")
-    seeds = set(int(v) for v in np.flatnonzero(before != Behavior.DEFECTOR))
-    grown = set(int(v) for v in np.flatnonzero(after != Behavior.DEFECTOR))
-    return grown == neighborhood(network, seeds)
+    return np.array_equal(after != Behavior.DEFECTOR,
+                          neighborhood(network, before != Behavior.DEFECTOR))
 
 
 def check_reduction_equivalence(network: Network, trace: Trace, seed: int) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .graphs import GenerationError, compute_metrics, read_edge_list, write_edge_list
 from .model import (
@@ -22,10 +23,10 @@ from .model import (
     TWO_ORDER_KEYS,
     MainParams,
     TwoOrderParams,
+    check_epsilon,
     classify_main_conditions,
     classify_two_order_conditions,
     params_from_dict,
-    params_to_dict,
 )
 from .dynamics import RuleKind, UpdateRule, write_trace_csv
 from .experiments import (
@@ -115,6 +116,9 @@ def cmd_simulate(args) -> int:
     record.update({k: flags[k] for k in MAIN_KEYS + TWO_ORDER_KEYS if flags[k] is not None})
     params = params_from_dict(record)
     rule.check_params(params)
+    check_epsilon(args.epsilon)
+    if args.rounds < 0:
+        raise ValueError(f"--rounds must be non-negative, got {args.rounds}")
 
     spec = _network_spec_from_args(args)
     if spec is not None:
@@ -126,7 +130,7 @@ def cmd_simulate(args) -> int:
     settings = {
         "network": source, "rule": rule.kind.value, "seed": args.seed,
         "epsilon": args.epsilon, "rounds": args.rounds, "early_stop": args.early_stop,
-        **params_to_dict(params),
+        **asdict(params),
     }
     if rule.kind is RuleKind.MAIN_NOISY:
         settings["p_greedy"] = rule.p_greedy
@@ -272,6 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # seeds feed numpy's SeedSequence, which takes no negative entries
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -324,7 +324,7 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
 
     width = 4 if rule.is_two_order else 3
     counts = [_behaviour_counts(config, width)]
-    snapshots = [config.copy()] if record_snapshots else None
+    snapshots = [config] if record_snapshots else None
     prev = None
     termination = Termination.MAX_ROUNDS
     round_reached = max_rounds
@@ -332,17 +332,15 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         nxt = step(network, config, params, rule, ties, table=table)
         counts.append(_behaviour_counts(nxt, width))
         if record_snapshots:
-            snapshots.append(nxt.copy())
+            snapshots.append(nxt)
         if early_stop:
             if np.array_equal(nxt, config):
                 termination = Termination.FIXED_POINT
                 round_reached = t - 1
-                config = nxt
                 break
             if prev is not None and np.array_equal(nxt, prev):
                 termination = Termination.TWO_CYCLE
                 round_reached = t - 2
-                config = nxt
                 break
         prev = config
         config = nxt

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -141,6 +142,12 @@ class SweepSpec:
             object.__setattr__(self, "rho_h_max", self.rho_d)
         if not 0.0 <= self.rho_h_min <= self.rho_h_max <= self.rho_d:
             raise ValueError("rho_h range must satisfy 0 <= min <= max <= rho_d")
+        # MainParams owns the valid ranges; they are intervals, so the
+        # grid's lowest and highest corners stand for every cell
+        MainParams(e_h=self.e_h_min, rho_h=self.rho_h_min, rho_d=self.rho_d)
+        MainParams(e_h=self.e_h_max, rho_h=self.rho_h_max, rho_d=self.rho_d)
+        if self.master_seed < 0:
+            raise ValueError(f"'master_seed' must be non-negative, got {self.master_seed}")
         if self.fresh_network_per_repetition and self.network.kind != "regular":
             raise ValueError("fresh networks only make sense for sampled networks")
 
@@ -151,19 +158,13 @@ class SweepSpec:
         return np.linspace(self.rho_h_min, self.rho_h_max, self.rho_h_count)
 
     def to_dict(self) -> dict:
-        flat: dict = {"network": self.network.kind}
-        for key in ("width", "height", "n", "degree"):
-            value = getattr(self.network, key)
-            if value:
-                flat[key] = value
-        flat.update(
-            e_h_count=self.e_h_count, e_h_min=self.e_h_min, e_h_max=self.e_h_max,
-            rho_h_count=self.rho_h_count, rho_h_min=self.rho_h_min, rho_h_max=self.rho_h_max,
-            rho_d=self.rho_d, epsilon=self.epsilon, rounds=self.rounds,
-            repetitions=self.repetitions, rule=self.rule.kind.value,
-            master_seed=self.master_seed,
-            fresh_network_per_repetition=self.fresh_network_per_repetition,
-        )
+        flat: dict = {"network": self.network.kind, "rule": self.rule.kind.value}
+        for f in fields(NetworkSpec):
+            if f.name != "kind" and getattr(self.network, f.name):
+                flat[f.name] = getattr(self.network, f.name)
+        for f in fields(self):
+            if f.name not in ("network", "rule"):
+                flat[f.name] = getattr(self, f.name)
         if self.rule.kind is RuleKind.MAIN_NOISY:
             flat["p_greedy"] = self.rule.p_greedy
         return flat
@@ -171,36 +172,33 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, record: dict) -> "SweepSpec":
         record = dict(record)
-        network = NetworkSpec(
-            kind=record.pop("network"),
-            **{key: _sweep_value(key, record.pop(key, 0), int)
-               for key in ("width", "height", "n", "degree")},
-        )
+        network = NetworkSpec(kind=record.pop("network"),
+                              **_pop_fields(NetworkSpec, record, skip=("kind",)))
         kind = RuleKind(record.pop("rule", RuleKind.MAIN_GREEDY.value))
         default_p = 0.95 if kind is RuleKind.MAIN_NOISY else 1.0
         rule = UpdateRule(kind, finite_number("p_greedy", record.pop("p_greedy", default_p)))
-        known = {
-            "e_h_count": int, "rho_h_count": int, "rho_d": float, "epsilon": float,
-            "rounds": int, "repetitions": int, "master_seed": int,
-            "e_h_min": float, "e_h_max": float, "rho_h_min": float, "rho_h_max": float,
-            "fresh_network_per_repetition": bool,
-        }
-        kwargs = {}
-        for key, cast in known.items():
-            if key in record:
-                kwargs[key] = _sweep_value(key, record.pop(key), cast)
+        kwargs = _pop_fields(cls, record, skip=("network", "rule"))
         if record:
             raise ValueError(f"unknown sweep keys: {sorted(record)}")
         return cls(network=network, rule=rule, **kwargs)
 
 
-def _sweep_value(key: str, value, cast: type):
-    # int() would truncate 2.9 and bool() would read "false" as true
-    if cast is float:
+def _pop_fields(cls, record: dict, skip: tuple[str, ...]) -> dict:
+    """Pop each field of ``cls`` outside ``skip`` that ``record`` holds,
+    typed by the field's annotation."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _sweep_value(f.name, record.pop(f.name), hints[f.name])
+            for f in fields(cls) if f.name not in skip and f.name in record}
+
+
+def _sweep_value(key: str, value, annotation):
+    # int() would truncate 2.9 and bool() would read "false" as true;
+    # float | None reads as float, the type to_dict writes
+    if annotation is float or float in typing.get_args(annotation):
         return finite_number(key, value)
-    if type(value) is not cast:
-        raise ValueError(f"sweep key {key!r} must be a JSON {cast.__name__}, got {value!r}")
-    return cast(value)
+    if type(value) is not annotation:
+        raise ValueError(f"sweep key {key!r} must be a JSON {annotation.__name__}, got {value!r}")
+    return value
 
 
 @dataclass

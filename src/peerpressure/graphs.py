@@ -39,9 +39,11 @@ class Network:
 
     indptr: np.ndarray
     indices: np.ndarray
-    _src: np.ndarray = field(init=False, repr=False)
-    _degrees: np.ndarray = field(init=False, repr=False)
-    _regular_degree: int | None = field(init=False, repr=False)
+    #: Source vertex of each entry in ``indices``.
+    neighbor_src: np.ndarray = field(init=False, repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
+    #: The degree shared by every vertex; None if degrees differ or n = 0.
+    regular_degree: int | None = field(init=False, repr=False)
     _connected: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -74,10 +76,10 @@ class Network:
             raise ValueError(f"asymmetric edge ({u}, {v})")
         self.indptr = indptr
         self.indices = keys - row_base
-        self._src = src
-        self._degrees = degrees
+        self.neighbor_src = src
+        self.degrees = degrees
         regular = n > 0 and bool((degrees == degrees[0]).all())
-        self._regular_degree = int(degrees[0]) if regular else None
+        self.regular_degree = int(degrees[0]) if regular else None
 
     @property
     def vertex_count(self) -> int:
@@ -87,28 +89,14 @@ class Network:
     def edge_count(self) -> int:
         return self.indices.size // 2
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return self._degrees
-
-    @property
-    def regular_degree(self) -> int | None:
-        """The degree shared by every vertex; None if degrees differ or n = 0."""
-        return self._regular_degree
-
-    @property
-    def neighbor_src(self) -> np.ndarray:
-        """Source vertex of each entry in :attr:`indices`."""
-        return self._src
-
     def neighbors(self, u: int) -> list[int]:
         """The sorted neighbours of ``u`` as a plain list."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]].tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, sorted."""
-        keep = self._src < self.indices
-        return list(zip(self._src[keep].tolist(), self.indices[keep].tolist()))
+        keep = self.neighbor_src < self.indices
+        return list(zip(self.neighbor_src[keep].tolist(), self.indices[keep].tolist()))
 
     def is_connected(self) -> bool:
         if self._connected is None:

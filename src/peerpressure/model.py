@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -300,12 +300,8 @@ def classify_two_order_conditions(params: TwoOrderParams,
 # flat key-value serialization
 # ---------------------------------------------------------------------------
 
-MAIN_KEYS = ("e_h", "rho_h", "rho_d")
-TWO_ORDER_KEYS = ("alpha1", "alpha2", "beta1", "beta2")
-
-
-def params_to_dict(params: MainParams | TwoOrderParams) -> dict[str, float]:
-    return asdict(params)
+MAIN_KEYS = tuple(f.name for f in fields(MainParams))
+TWO_ORDER_KEYS = tuple(f.name for f in fields(TwoOrderParams))
 
 
 def params_from_dict(record: dict) -> MainParams | TwoOrderParams:

@@ -231,11 +231,11 @@ def oscillation_suite(seed: int) -> list[InstanceOutcome]:
     for idx, (small, total) in enumerate([(3, 10), (5, 16)]):
         edges = [(u, v) for u in range(small) for v in range(small, total)]
         g = Network.from_edges(total, edges)
-        metrics = compute_metrics(g)
+        min_degree = int(g.degrees.min())
         e_h = 0.1
-        rho_h = 1.2 * (1.0 - e_h) / metrics.min_degree
+        rho_h = 1.2 * (1.0 - e_h) / min_degree
         params = MainParams(e_h=e_h, rho_h=rho_h, rho_d=1.3 * (e_h + rho_h))
-        assert classify_main_conditions(params, metrics.min_degree) is ConditionStatus.SATISFIED
+        assert classify_main_conditions(params, min_degree) is ConditionStatus.SATISFIED
         init = np.zeros(total, dtype=np.int8)
         init[small] = Behavior.HYPOCRITICAL
         init[small + 1] = Behavior.COOPERATOR

@@ -51,10 +51,15 @@ class TestConvergenceRound:
 
 
 def test_neighborhood_is_union_of_neighbor_sets(path3):
-    assert neighborhood(path3, {0}) == {1}
-    assert neighborhood(path3, {1}) == {0, 2}
-    assert neighborhood(path3, {0, 2}) == {1}
-    assert neighborhood(path3, set()) == set()
+    def grown(*chosen):
+        result = neighborhood(path3, np.array(chosen))
+        assert result.dtype == bool
+        return result.tolist()
+
+    assert grown(True, False, False) == [False, True, False]
+    assert grown(False, True, False) == [True, False, True]
+    assert grown(True, False, True) == [False, True, False]
+    assert grown(False, False, False) == [False, False, False]
 
 
 class TestContagionCheck:
@@ -76,6 +81,17 @@ class TestContagionCheck:
         before = np.array([PC, 0, 0, 0], dtype=np.int8)
         with pytest.raises(CheckRefused, match="main-model"):
             check_contagion(self.g, before, np.zeros(4, dtype=np.int8), self.params)
+
+    @pytest.mark.parametrize("before, after", [
+        ([H, D, D, D, D], [D, H, D, H]),
+        ([H, D, D], [D, H, D, H]),
+        ([H, D, D, D], [D, H, D, H, D]),
+    ], ids=["long-before", "short-before", "long-after"])
+    def test_rejects_wrong_length(self, before, after):
+        # these used to pass: the check compared vertex sets, not masks of length n
+        with pytest.raises(ValueError, match="do not match n=4"):
+            check_contagion(self.g, np.array(before, dtype=np.int8),
+                            np.array(after, dtype=np.int8), self.params)
 
     def test_accepts_exact_neighborhood_growth(self):
         before = np.array([H, D, D, D], dtype=np.int8)

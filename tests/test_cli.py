@@ -194,10 +194,10 @@ def test_sweep_round_trip(tmp_path, capsys):
     assert run_cli("sweep", str(cfg), "--out-prefix", prefix) == 0
     stdout = capsys.readouterr().out
     assert f"wrote {prefix}.csv and {prefix}.ppm" in stdout
-    csv_lines = open(prefix + ".csv").read().splitlines()
+    csv_lines = (tmp_path / "phase.csv").read_text().splitlines()
     assert csv_lines[0] == "e_h,rho_h,frac_defector,frac_hypocritical,frac_cooperator"
     assert len(csv_lines) == 5
-    assert open(prefix + ".ppm").readline() == "P3\n"
+    assert (tmp_path / "phase.ppm").read_text().startswith("P3\n")
 
 
 def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
@@ -266,6 +266,37 @@ def test_sweep_rejects_non_positive_workers(tmp_path, capsys, workers):
                    "--workers", workers) == 2
     captured = capsys.readouterr()
     assert "--workers must be positive" in captured.err
+    assert "effective-config" not in captured.out
+
+
+SIMULATE = ("simulate", "--torus", "5", "5", *MAIN_FLAGS, "--rounds", "3")
+SWEEP_CONFIG = {"network": "torus", "width": 5, "height": 5, "e_h_count": 2, "rho_h_count": 2,
+                "rho_d": 0.5, "epsilon": 0.2, "rounds": 4, "repetitions": 2, "master_seed": 9}
+
+
+@pytest.mark.parametrize("argv, sweep, message", [
+    (SIMULATE + ("--seed", "1", "--epsilon", "0"), None, "'epsilon' must lie strictly between"),
+    (SIMULATE + ("--seed", "1", "--epsilon", "1.5"), None, "'epsilon' must lie strictly between"),
+    (SIMULATE + ("--seed", "1", "--rounds", "-1"), None, "--rounds must be non-negative, got -1"),
+    (SIMULATE + ("--seed", "-1"), None, "--seed must be non-negative, got -1"),
+    (("generate", "--regular", "20", "3", "--seed", "-1", "--out", "/dev/null"), None,
+     "--seed must be non-negative, got -1"),
+    (("verify", "oracle", "--seed", "-1", "--instances", "2"), None,
+     "--seed must be non-negative, got -1"),
+    (None, {"rho_d": 0}, "rho_d must be positive, got 0.0"),
+    (None, {"master_seed": -1}, "'master_seed' must be non-negative, got -1"),
+], ids=["simulate-epsilon-zero", "simulate-epsilon-above-one", "simulate-negative-rounds",
+        "simulate-negative-seed", "generate-negative-seed", "verify-negative-seed",
+        "sweep-rho-d-zero", "sweep-negative-master-seed"])
+def test_rejects_input_before_effective_config(tmp_path, capsys, argv, sweep, message):
+    # each of these used to print effective-config and fail only inside the run
+    if sweep is not None:
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({**SWEEP_CONFIG, **sweep}))
+        argv = ("sweep", str(cfg), "--out-prefix", str(tmp_path / "p"))
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert "effective-config" not in captured.out
 
 

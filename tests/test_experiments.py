@@ -1,5 +1,7 @@
 """Seed derivation, single runs, sweeps, and output formats."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,16 @@ class TestSweepSpec:
         record = spec.to_dict()
         assert record["p_greedy"] == 0.9
         assert SweepSpec.from_dict(record) == spec
+
+    def test_dict_round_trip_every_field(self):
+        # a field that to_dict or from_dict drops comes back as its default
+        spec = SweepSpec(network=NetworkSpec(kind="regular", n=12, degree=3),
+                         e_h_count=4, rho_h_count=2, rho_d=0.6, epsilon=0.3, rounds=6,
+                         repetitions=3, rule=UpdateRule.main_noisy(0.8), master_seed=11,
+                         e_h_min=0.1, e_h_max=0.9, rho_h_min=0.05, rho_h_max=0.4,
+                         fresh_network_per_repetition=True)
+        assert all(getattr(spec, f.name) != f.default for f in fields(SweepSpec))
+        assert SweepSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_keys_rejected(self):
         record = _tiny_spec().to_dict()

@@ -253,8 +253,8 @@ def test_edge_list_round_trip(tmp_path, torus5):
     write_edge_list(torus5, path)
     back = read_edge_list(path)
     assert adjacency_lists(back) == adjacency_lists(torus5)
-    first = open(path, encoding="ascii").readline()
-    assert first == "25 50\n"
+    with open(path, encoding="ascii") as fh:
+        assert fh.readline() == "25 50\n"
 
 
 def test_edge_list_tolerates_whitespace(tmp_path):

@@ -1,6 +1,7 @@
 """Behaviours, costs, parameter windows, initial mixes, serialization."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from peerpressure import (
     map_configuration,
     map_two_order_params,
     params_from_dict,
-    params_to_dict,
     sample_initial_binary,
     sample_initial_main,
     sample_initial_two_order,
@@ -258,11 +258,11 @@ class TestInitialMixes:
 class TestParamSerialization:
     def test_round_trip_main(self):
         p = MainParams(0.1, 0.23, 0.45)
-        assert params_from_dict(params_to_dict(p)) == p
+        assert params_from_dict(asdict(p)) == p
 
     def test_round_trip_two_order(self):
         p = TwoOrderParams(0.9, 0.1, 0.23, 0.22)
-        assert params_from_dict(params_to_dict(p)) == p
+        assert params_from_dict(asdict(p)) == p
 
     def test_key_set_picks_model(self):
         assert isinstance(params_from_dict({"e_h": 0.1, "rho_h": 0.2, "rho_d": 0.4}),
