@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -47,6 +48,13 @@ def _print_effective_config(command: str, settings: dict) -> None:
     print("effective-config: " + json.dumps(payload, sort_keys=True))
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse before the run an output file whose directory is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: no directory {parent}")
+
+
 def _read_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
@@ -76,6 +84,7 @@ def cmd_generate(args) -> int:
             print("error: --seed is required when sampling a regular network", file=sys.stderr)
             return 2
         settings["seed"] = args.seed
+    _check_output_dir(args.out)
     _print_effective_config("generate", settings)
     try:
         network = spec.build(derived_seed(args.seed, 0) if args.seed is not None else None)
@@ -135,6 +144,7 @@ def cmd_simulate(args) -> int:
     if rule.kind is RuleKind.MAIN_NOISY:
         settings["p_greedy"] = rule.p_greedy
     if args.out:
+        _check_output_dir(args.out)
         settings["out"] = args.out
     _print_effective_config("simulate", settings)
 
@@ -173,6 +183,7 @@ def cmd_sweep(args) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: invalid sweep config: {exc}", file=sys.stderr)
         return 2
+    _check_output_dir(args.out_prefix)
     settings = {**spec.to_dict(), "workers": args.workers, "out_prefix": args.out_prefix}
     _print_effective_config("sweep", settings)
     diagram = run_sweep(spec, workers=args.workers)
@@ -194,6 +205,8 @@ def cmd_verify(args) -> int:
     if args.instances is not None and args.instances < 1:
         print(f"error: --instances must be positive, got {args.instances}", file=sys.stderr)
         return 2
+    if args.out:
+        _check_output_dir(args.out)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     _print_effective_config("verify", {
         "suite": args.suite, "seed": args.seed, "instances": args.instances,

@@ -283,20 +283,29 @@ SWEEP_CONFIG = {"network": "torus", "width": 5, "height": 5, "e_h_count": 2, "rh
      "--seed must be non-negative, got -1"),
     (("verify", "oracle", "--seed", "-1", "--instances", "2"), None,
      "--seed must be non-negative, got -1"),
-    (None, {"rho_d": 0}, "rho_d must be positive, got 0.0"),
-    (None, {"master_seed": -1}, "'master_seed' must be non-negative, got -1"),
+    (("--out-prefix", "{tmp}/p"), {"rho_d": 0}, "rho_d must be positive, got 0.0"),
+    (("--out-prefix", "{tmp}/p"), {"master_seed": -1},
+     "'master_seed' must be non-negative, got -1"),
+    (SIMULATE + ("--seed", "1", "--out", "{tmp}/missing/t.csv"), None,
+     "cannot write {tmp}/missing/t.csv: no directory {tmp}/missing"),
+    (("--out-prefix", "{tmp}/missing/p"), {}, "cannot write {tmp}/missing/p: no directory"),
+    (("verify", "oracle", "--seed", "1", "--instances", "2", "--out", "{tmp}/missing/r.csv"),
+     None, "cannot write {tmp}/missing/r.csv: no directory {tmp}/missing"),
+    (("generate", "--torus", "5", "5", "--out", "{tmp}/missing/g.edges"), None,
+     "cannot write {tmp}/missing/g.edges: no directory {tmp}/missing"),
 ], ids=["simulate-epsilon-zero", "simulate-epsilon-above-one", "simulate-negative-rounds",
         "simulate-negative-seed", "generate-negative-seed", "verify-negative-seed",
-        "sweep-rho-d-zero", "sweep-negative-master-seed"])
+        "sweep-rho-d-zero", "sweep-negative-master-seed", "simulate-missing-out-dir",
+        "sweep-missing-out-dir", "verify-missing-out-dir", "generate-missing-out-dir"])
 def test_rejects_input_before_effective_config(tmp_path, capsys, argv, sweep, message):
     # each of these used to print effective-config and fail only inside the run
     if sweep is not None:
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({**SWEEP_CONFIG, **sweep}))
-        argv = ("sweep", str(cfg), "--out-prefix", str(tmp_path / "p"))
-    assert run_cli(*argv) == 2
+        argv = ("sweep", str(cfg)) + argv
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert message.format(tmp=tmp_path) in captured.err
     assert "effective-config" not in captured.out
 
 

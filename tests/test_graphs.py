@@ -217,18 +217,67 @@ class TestMetrics:
         m = compute_metrics(petersen())
         assert (m.diameter, m.odd_girth, m.min_degree) == (2, 5, 3)
 
-    def test_one_bfs_per_source(self, monkeypatch, cycle6):
-        # the bipartition comes from the source-0 sweep, not from an extra BFS
+    def test_trivial_networks(self):
+        # a single vertex has no arcs at all, which the level sweep must not reach
+        m = compute_metrics(Network([0, 0], []))
+        assert (m.diameter, m.min_degree, m.bipartition, m.odd_girth) == (0, 0, ((0,), ()), None)
+        m = compute_metrics(Network.from_edges(2, [(0, 1)]))
+        assert (m.diameter, m.bipartition, m.odd_girth) == (1, ((0,), (1,)), None)
+
+    def test_no_per_source_bfs(self, monkeypatch, cycle6):
+        # all sources are searched at once; the bipartition needs no extra BFS
         import peerpressure.graphs as graphs
 
-        assert cycle6.is_connected()  # cached, so only the metric sweeps count
+        assert cycle6.is_connected()  # cached, so only calls from the metrics count
         sources = []
         real = graphs.bfs_distances
         monkeypatch.setattr(graphs, "bfs_distances",
                             lambda g, s: sources.append(s) or real(g, s))
         m = compute_metrics(cycle6)
-        assert sources == list(range(6))
+        assert sources == []
         assert m.bipartition == ((0, 2, 4), (1, 3, 5))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_cycles_across_chunks(self, n):
+        # sources are searched 64 at a time; these straddle the chunk edges
+        m = compute_metrics(Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+        assert m.diameter == n // 2
+        if n % 2:
+            assert (m.odd_girth, m.bipartition) == (n, None)
+        else:
+            assert m.odd_girth is None
+            assert m.bipartition == (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+
+    def test_odd_torus_across_chunks(self):
+        m = compute_metrics(build_torus_grid(9, 13))  # n = 117
+        assert (m.diameter, m.odd_girth, m.bipartition) == (10, 9, None)
+
+    def test_even_torus_classes_across_chunks(self):
+        m = compute_metrics(build_torus_grid(10, 12))  # n = 120, vertex x + 10 y
+        parity = [(v % 10 + v // 10) % 2 for v in range(120)]
+        assert m.odd_girth is None
+        assert m.diameter == 11
+        assert m.bipartition == (tuple(v for v in range(120) if parity[v] == 0),
+                                 tuple(v for v in range(120) if parity[v] == 1))
+
+    def test_extremes_seen_only_by_a_later_chunk(self):
+        # A path of 130 vertices whose middle 64 carry labels 0..63, with a
+        # triangle closing its far end: chunk 0 holds none of the endpoints
+        # of a longest shortest path and no vertex of the triangle.
+        order = list(range(64, 97)) + list(range(64)) + list(range(97, 130))
+        g = Network.from_edges(130, list(zip(order, order[1:])) + [(order[-3], order[-1])])
+        m = compute_metrics(g)
+        assert (m.diameter, m.odd_girth) == (128, 3)
+        assert m.diameter == naive_diameter(adjacency_lists(g))
+        assert m.odd_girth == double_cover_odd_girth(g)
+
+    def test_random_graphs_across_chunks_match_oracles(self):
+        rng = np.random.default_rng(11)
+        for n in (65, 90, 128, 150):
+            g = random_connected_gnp(rng, n, 6 / n)
+            m = compute_metrics(g)
+            assert m.diameter == naive_diameter(adjacency_lists(g))
+            assert m.odd_girth == double_cover_odd_girth(g)
 
     def test_diameter_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
