@@ -41,8 +41,10 @@ functions (:func:`~peerpressure.model.cost_main`,
 behaviour, the number of tied cheapest behaviours and the tied behaviours
 in preference order. A round counts ``k`` for every player, looks up the
 choice, and resolves ties only for players whose ``k`` is tied. On
-networks where every vertex has the same degree ``d`` the counts are sums
-of ``d`` gathered columns in an integer type wide enough for ``d``.
+networks where every vertex has the same degree ``d`` the punishing mask
+is gathered once through the network's column-major ``(d, n)`` neighbour
+table, and ``k`` is one reduce over its ``d`` contiguous rows in an
+integer type wide enough for ``d``.
 """
 
 from __future__ import annotations
@@ -161,27 +163,30 @@ class Trace:
         return self.counts.shape[0] - 1
 
 
+# Plain ints: comparing an array with an IntEnum member is several times slower.
+_HYPOCRITICAL = int(Behavior.HYPOCRITICAL)
+_COOPERATOR = int(Behavior.COOPERATOR)
+
+
 def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     """Per-vertex count of neighbours currently punishing.
 
     Hypocrites and cooperators punish, defectors and private cooperators
     do not; in the main model this is exactly the non-defector neighbour
-    count. When every vertex has degree ``d`` the counts add the ``d``
-    columns of the gathered ``(n, d)`` neighbour mask in the narrowest
-    unsigned type that holds ``d``; otherwise they come from a weighted
+    count. When every vertex has degree ``d`` the mask is gathered through
+    the network's ``(d, n)`` :meth:`~peerpressure.graphs.Network.neighbor_table`
+    and its ``d`` contiguous rows are added in the narrowest unsigned type
+    that holds ``d``; otherwise the counts come from a weighted
     ``bincount`` as int64.
     """
-    mask = (config == Behavior.HYPOCRITICAL) | (config == Behavior.COOPERATOR)
-    n = network.vertex_count
+    mask = (config == _HYPOCRITICAL) | (config == _COOPERATOR)
     d = network.regular_degree
     if d is not None:
-        counts = np.zeros(n, dtype=np.min_scalar_type(d))
-        for column in mask[network.indices].reshape(n, d).T:
-            counts += column
-        return counts
+        return np.add.reduce(mask.view(np.uint8).take(network.neighbor_table()),
+                             axis=0, dtype=np.min_scalar_type(d))
     weights = mask[network.indices].astype(np.float64)
     return np.bincount(network.neighbor_src, weights=weights,
-                       minlength=n).astype(np.int64)
+                       minlength=network.vertex_count).astype(np.int64)
 
 
 def _validate_config(config: np.ndarray, n: int, rule: UpdateRule) -> np.ndarray:

@@ -35,6 +35,11 @@ class Network:
         All neighbour lists concatenated. Must be symmetric, without
         self-loops or repeated entries. Rows are sorted on construction so
         that equal graphs have identical arrays.
+
+    The arrays derived from these (``neighbor_src``, ``degrees``,
+    ``regular_degree``) are set once on construction. A regular network
+    also has a column-major copy of ``indices``, :meth:`neighbor_table`,
+    built on first use and cached, like connectivity.
     """
 
     indptr: np.ndarray
@@ -45,6 +50,7 @@ class Network:
     #: The degree shared by every vertex; None if degrees differ or n = 0.
     regular_degree: int | None = field(init=False, repr=False)
     _connected: bool | None = field(default=None, init=False, repr=False)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -106,6 +112,20 @@ class Network:
             else:
                 self._connected = int((bfs_distances(self, 0) >= 0).sum()) == n
         return self._connected
+
+    def neighbor_table(self) -> np.ndarray:
+        """The contiguous ``(d, n)`` table of a d-regular network: entry
+        ``[j, u]`` is the ``j``-th smallest neighbour of ``u``.
+
+        Built on the first call and cached. Raises ``ValueError`` unless
+        every vertex has the same degree.
+        """
+        if self._table is None:
+            d = self.regular_degree
+            if d is None:
+                raise ValueError("a neighbour table needs a regular network")
+            self._table = np.ascontiguousarray(self.indices.reshape(self.vertex_count, d).T)
+        return self._table
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Network":

@@ -65,13 +65,26 @@ def _random_connected_network(rng: np.random.Generator, max_n: int) -> Network:
 
 
 def _random_gnp(rng: np.random.Generator, n: int, p: float | None = None) -> Network:
-    """Connected Erdos-Renyi draw; resamples until connected."""
+    """Connected Erdos-Renyi draw; resamples until connected.
+
+    Connectivity is tested on the drawn adjacency matrix, by growing the
+    set reached from vertex 0 until it stops changing, so a ``Network`` is
+    built only for the accepted draw.
+    """
     if p is None:
         p = min(1.0, (np.log(max(n, 2)) + 1.0) / max(n - 1, 1))
     while True:
-        g = Network.from_edges(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
-        if g.is_connected():
-            return g
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        adjacency = upper | upper.T
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        while True:
+            grown = reached | adjacency[reached].any(axis=0)
+            if np.array_equal(grown, reached):
+                break
+            reached = grown
+        if reached.all():
+            return Network.from_edges(n, np.argwhere(upper))
 
 
 def _plant_nondefectors(config: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -291,3 +291,33 @@ def test_suite_report_lines():
     bad = InstanceOutcome(4, False, "n=6")
     assert good.report_line("oracle") == "oracle,3,pass,n=5"
     assert bad.report_line("oracle") == "oracle,4,FAIL,n=6"
+
+
+def test_random_gnp_builds_only_the_accepted_draw(monkeypatch):
+    from peerpressure.suites import _random_gnp
+
+    # the former loop: build every draw, keep the first connected one
+    old_rng = np.random.default_rng(1)
+    draws = 0
+    while True:
+        draws += 1
+        upper = np.triu(old_rng.random((10, 10)) < 0.25, k=1)
+        expected = Network.from_edges(10, np.argwhere(upper))
+        if expected.is_connected():
+            break
+    assert draws > 1  # the seed rejects at least one draw
+
+    built = []
+    post_init = Network.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Network, "__post_init__", counting)
+    rng = np.random.default_rng(1)
+    g = _random_gnp(rng, 10, 0.25)
+    assert built == [g]
+    assert g.edges() == expected.edges()
+    # the same number of uniforms was consumed
+    assert rng.random() == old_rng.random()

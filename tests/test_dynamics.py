@@ -384,10 +384,15 @@ def graphs():
         "gnp": random_connected_gnp(np.random.default_rng(5), 30, 0.15),
         "wheel": _wheel(300),
         "complete": _complete(258),
+        # non-square, so the two grid directions wrap at different lengths
+        "torus7x5": build_torus_grid(7, 5),
+        "edge": Network.from_edges(2, [(0, 1)]),
+        "single": Network.from_edges(1, []),  # d = 0, a (0, 1) table
     }
 
 
 HIGH_DEGREE = ("wheel", "complete")
+ALL_GRAPHS = ["torus", "regular", "gnp", "wheel", "complete", "torus7x5", "edge", "single"]
 
 
 def _case(graphs, rule_name, graph_name):
@@ -408,7 +413,7 @@ def _python_counts(g, config):
             for u in range(g.vertex_count)]
 
 
-@pytest.mark.parametrize("graph_name", ["torus", "regular", "gnp", "wheel", "complete"])
+@pytest.mark.parametrize("graph_name", ALL_GRAPHS)
 @pytest.mark.parametrize("rule_name", sorted(RULES))
 def test_run_equals_iterated_step(graphs, rule_name, graph_name):
     g, rule, params, init = _case(graphs, rule_name, graph_name)
@@ -423,10 +428,10 @@ def test_run_equals_iterated_step(graphs, rule_name, graph_name):
     assert ties.random() == run_ties.random()
 
 
-@pytest.mark.parametrize("graph_name", ["torus", "regular", "gnp", "wheel", "complete"])
+@pytest.mark.parametrize("graph_name", ALL_GRAPHS)
 def test_punishing_counts_match_python_count(graphs, graph_name):
     g = graphs[graph_name]
-    regular = graph_name in ("torus", "regular", "complete")
+    regular = graph_name not in ("gnp", "wheel")
     assert (g.regular_degree is not None) == regular
     rng = np.random.default_rng(9)
     configs = [rng.integers(0, 4, size=g.vertex_count).astype(np.int8),
@@ -449,6 +454,34 @@ def test_step_matches_reference_at_high_degree(graphs, rule_name, graph_name):
     # vertex 0 decides a genuine tie at k = 256, where a uint8 count reads 0
     assert punishing_counts(g, config)[0] == 256
     assert decision_table(params, rule, 256).n_min[256] > 1
+
+
+class TestNeighborTable:
+    def test_built_by_the_first_run_and_reused(self, tmp_path, grid_params):
+        from peerpressure import read_edge_list, write_edge_list
+
+        torus = build_torus_grid(5, 4)
+        write_edge_list(torus, str(tmp_path / "torus.edges"))
+        read = read_edge_list(str(tmp_path / "torus.edges"))
+        cycle = Network.from_edges(5, [(u, (u + 1) % 5) for u in range(5)])
+        for g in (torus, read, cycle):
+            assert g._table is None
+            init = np.full(g.vertex_count, C, dtype=np.int8)
+            run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
+            table = g._table
+            assert table is not None and table.flags.c_contiguous
+            assert table.shape == (g.regular_degree, g.vertex_count)
+            assert table.T.tolist() == [g.neighbors(u) for u in range(g.vertex_count)]
+            run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
+            assert g._table is table
+            assert g.neighbor_table() is table
+
+    def test_irregular_network_has_none(self, path3, grid_params):
+        init = np.full(3, C, dtype=np.int8)
+        run(path3, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
+        assert path3._table is None
+        with pytest.raises(ValueError, match="regular"):
+            path3.neighbor_table()
 
 
 class TestDecisionTable:
