@@ -29,9 +29,7 @@ def convergence_round(trace: Trace) -> int | None:
     Returns None when the final recorded round is not all-cooperator (a
     transient visit to full cooperation does not count).
     """
-    counts = trace.counts
-    n = trace.n
-    all_c = counts[:, Behavior.COOPERATOR] == n
+    all_c = trace.counts[:, Behavior.COOPERATOR] == trace.n
     if not all_c[-1]:
         return None
     later_bad = np.flatnonzero(~all_c)
@@ -98,10 +96,12 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
 
 
 def neighborhood(network: Network, chosen: np.ndarray) -> np.ndarray:
-    """Mask of the vertices with a neighbour in the boolean mask ``chosen``."""
-    grown = np.zeros(network.vertex_count, dtype=bool)
-    grown[network.indices[chosen[network.neighbor_src]]] = True
-    return grown
+    """Mask of the vertices with a neighbour in the boolean mask ``chosen``,
+    one ``(n,)`` mask or each row of a ``(T, n)`` stack. A zero-led running
+    sum of the gathered masks never grows across an isolated vertex's row."""
+    running = np.zeros(chosen.shape[:-1] + (network.indices.size + 1,), dtype=np.intp)
+    np.cumsum(chosen[..., network.indices], axis=-1, out=running[..., 1:])
+    return running[..., network.indptr[1:]] > running[..., network.indptr[:-1]]
 
 
 def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
@@ -109,10 +109,11 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
     """Is the non-defector set after one greedy round exactly the
     neighbourhood of the non-defector set before it?
 
-    This set identity is guaranteed for the greedy main model whenever
-    open defection is the most expensive escape (``e_h + rho_h < rho_d``)
-    and keeping up appearances actually costs something (``e_h > 0``);
-    outside that regime the check refuses rather than report noise.
+    ``before`` and ``after`` are configurations ``(n,)`` or equal ``(T, n)``
+    stacks, such as a trace's ``S[:-1]`` and ``S[1:]``. The identity holds
+    for the greedy main model whenever open defection is the dearest escape
+    (``e_h + rho_h < rho_d``) and hypocrisy costs something (``e_h > 0``);
+    otherwise, or for an empty stack, the check refuses.
     """
     if not params.e_h + params.rho_h < params.rho_d:
         raise CheckRefused("contagion requires e_h + rho_h < rho_d")
@@ -121,8 +122,10 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
     before = np.asarray(before, dtype=np.int8)
     after = np.asarray(after, dtype=np.int8)
     n = network.vertex_count
-    if before.shape != (n,) or after.shape != (n,):
+    if before.shape != after.shape or before.ndim not in (1, 2) or before.shape[-1] != n:
         raise ValueError(f"configuration shapes {before.shape}, {after.shape} do not match n={n}")
+    if before.ndim == 2 and before.shape[0] == 0:
+        raise CheckRefused("contagion needs at least one round")
     if before.max(initial=0) > Behavior.COOPERATOR or after.max(initial=0) > Behavior.COOPERATOR:
         raise CheckRefused("contagion is a main-model check")
     return np.array_equal(after != Behavior.DEFECTOR,
@@ -132,16 +135,16 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
 def check_reduction_equivalence(network: Network, trace: Trace, seed: int) -> bool:
     """Does a two-order run collapse onto its rescaled main-model run?
 
-    ``trace`` is a two-order greedy run on ``network`` with snapshots,
-    its draws taken from ``np.random.default_rng(seed)``. The check runs
-    the main greedy dynamics from the collapsed ``trace.snapshots[0]``
-    under the rescaled ``trace.params`` for ``trace.rounds`` rounds,
-    against a fresh draw stream built from the same ``seed``, and demands
-    identical configurations at every round from 1 on (round 0 may
-    differ: collapsing erases private cooperators). Refuses for a trace
-    under any other rule or without snapshots, and unless
-    ``alpha2 < beta2``, the regime in which private cooperation is
-    strictly dominated and the equivalence is provable.
+    ``trace`` is a two-order greedy run on ``network`` with snapshots, its
+    draws taken from ``np.random.default_rng(seed)``. The check runs the
+    main greedy dynamics from the collapsed ``trace.snapshots[0]`` under
+    the rescaled ``trace.params`` for ``trace.rounds`` rounds, with a fresh
+    draw stream from the same ``seed``, and compares the collapsed rounds
+    from 1 on with that run in one array compare (round 0 may differ:
+    collapsing erases private cooperators). Refuses for a trace under any
+    other rule or without snapshots, and unless ``alpha2 < beta2``, the
+    regime in which private cooperation is strictly dominated and the
+    equivalence is provable.
     """
     if trace.rule.kind is not RuleKind.TWO_ORDER_GREEDY or trace.snapshots is None:
         raise CheckRefused("reduction equivalence needs a two-order greedy trace with snapshots")
@@ -150,8 +153,7 @@ def check_reduction_equivalence(network: Network, trace: Trace, seed: int) -> bo
     collapsed = run(network, map_configuration(trace.snapshots[0]),
                     map_two_order_params(trace.params), UpdateRule.main_greedy(),
                     np.random.default_rng(seed), max_rounds=trace.rounds, record_snapshots=True)
-    return all(np.array_equal(map_configuration(two_order), main)
-               for two_order, main in zip(trace.snapshots[1:], collapsed.snapshots[1:]))
+    return np.array_equal(map_configuration(trace.snapshots[1:]), collapsed.snapshots[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,8 @@ class Trace:
     ``round_reached`` is the first round of the detected terminal pattern
     for early-stopped runs (the repeated round for a fixed point, the
     first provably periodic round for a two-cycle) and the last simulated
-    round otherwise. ``snapshots``, when recorded, holds every
-    configuration including the initial one.
+    round otherwise. ``snapshots``, when recorded, is one C-contiguous int8
+    ``(rounds + 1, n)`` array, row for row with ``counts``.
     """
 
     counts: np.ndarray
@@ -151,7 +151,7 @@ class Trace:
     termination: Termination
     rule: UpdateRule
     params: MainParams | TwoOrderParams
-    snapshots: list[np.ndarray] | None = None
+    snapshots: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -316,7 +316,7 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
     halts as soon as the latest configuration repeats the previous one
     (fixed point) or the one before that (two-cycle); otherwise exactly
     ``max_rounds`` rounds are simulated, which keeps round counts
-    comparable across runs.
+    comparable across runs. Snapshots are stacked once, on return.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
@@ -350,7 +350,8 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         prev = config
         config = nxt
     return Trace(counts=np.array(counts, dtype=np.int64), round_reached=round_reached,
-                 termination=termination, rule=rule, params=params, snapshots=snapshots)
+                 termination=termination, rule=rule, params=params,
+                 snapshots=None if snapshots is None else np.stack(snapshots))
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,7 @@ def contagion_suite(seed: int, instances: int = 200) -> list[InstanceOutcome]:
         trace = run(g, init, params, UpdateRule.main_greedy(),
                     np.random.default_rng(int(rng.integers(2**63))), max_rounds=rounds,
                     record_snapshots=True)
-        ok = all(
-            check_contagion(g, trace.snapshots[t], trace.snapshots[t + 1], params)
-            for t in range(trace.rounds))
+        ok = check_contagion(g, trace.snapshots[:-1], trace.snapshots[1:], params)
         outcomes.append(InstanceOutcome(i, ok, f"n={g.vertex_count},rounds={trace.rounds}"))
     return outcomes
 
@@ -256,9 +254,8 @@ def oscillation_suite(seed: int) -> list[InstanceOutcome]:
                     np.random.default_rng(np.random.SeedSequence([seed, 505, idx])),
                     max_rounds=52, record_snapshots=True)
         snaps = trace.snapshots
-        alternates = all(
-            np.array_equal(snaps[t], snaps[t + 2]) and not np.array_equal(snaps[t], snaps[t + 1])
-            for t in range(2, trace.rounds - 1))
+        alternates = bool(np.array_equal(snaps[2:-2], snaps[4:])
+                          and (snaps[2:-2] != snaps[3:-1]).any(axis=1).all())
         never_converges = convergence_round(trace) is None
         outcomes.append(InstanceOutcome(
             idx, alternates and never_converges,

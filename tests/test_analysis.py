@@ -61,6 +61,17 @@ def test_neighborhood_is_union_of_neighbor_sets(path3):
     assert grown(True, False, True) == [False, True, False]
     assert grown(False, False, False) == [False, False, False]
 
+    # a (T, n) stack is judged row by row
+    stack = np.random.default_rng(5).random((6, 3)) < 0.5
+    assert neighborhood(path3, stack).tolist() == [
+        [any(row[v] for v in path3.neighbors(u)) for u in range(3)] for row in stack]
+    # an isolated last vertex has an empty neighbour row: never reached
+    tail = Network.from_edges(4, [(0, 1), (1, 2)])
+    assert neighborhood(tail, np.ones(4, dtype=bool)).tolist() == [True, True, True, False]
+    assert neighborhood(tail, np.array([[False, True, False, True],
+                                        [False, False, True, False]])).tolist() == [
+        [True, False, True, False], [False, True, False, False]]
+
 
 class TestContagionCheck:
     def setup_method(self):
@@ -86,7 +97,12 @@ class TestContagionCheck:
         ([H, D, D, D, D], [D, H, D, H]),
         ([H, D, D], [D, H, D, H]),
         ([H, D, D, D], [D, H, D, H, D]),
-    ], ids=["long-before", "short-before", "long-after"])
+        ([[H, D, D, D], [D, H, D, H]], [[D, H, D, H]]),
+        ([[H, D, D, D, D]], [[D, H, D, H, D]]),
+        ([[H, D, D, D]], [D, H, D, H]),
+        ([[[H, D, D, D]]], [[[D, H, D, H]]]),
+    ], ids=["long-before", "short-before", "long-after", "stack-rows", "stack-width",
+            "stack-against-one", "stack-of-stacks"])
     def test_rejects_wrong_length(self, before, after):
         # these used to pass: the check compared vertex sets, not masks of length n
         with pytest.raises(ValueError, match="do not match n=4"):
@@ -103,6 +119,24 @@ class TestContagionCheck:
         before = np.array([H, D, D, D], dtype=np.int8)
         bad = np.array([H, H, H, H], dtype=np.int8)  # vertex 2 is not a neighbour of 0
         assert not check_contagion(self.g, before, bad, self.params)
+
+    def test_judges_every_round_of_a_trace(self, torus5):
+        params = MainParams(e_h=0.1, rho_h=0.23, rho_d=0.45)
+        init = np.zeros(25, dtype=np.int8)
+        init[0] = H
+        trace = run(torus5, init, params, UpdateRule.main_greedy(),
+                    np.random.default_rng(0), max_rounds=6, record_snapshots=True)
+        snaps = trace.snapshots
+        assert check_contagion(torus5, snaps[:-1], snaps[1:], params)
+        # one player flipped in a middle row breaks the identity of two rounds
+        tampered = snaps.copy()
+        tampered[3, 12] = D if tampered[3, 12] != D else C
+        assert not check_contagion(torus5, tampered[:-1], tampered[1:], params)
+
+    def test_refuses_empty_stack(self):
+        empty = np.zeros((0, 4), dtype=np.int8)
+        with pytest.raises(CheckRefused, match="at least one round"):
+            check_contagion(self.g, empty, empty, self.params)
 
 
 class TestBoundAudit:
@@ -212,6 +246,15 @@ class TestReductionCheck:
         tampered[3] = D if tampered[3] != D else C
         assert not check_reduction_equivalence(torus5, trace, seed=8)
 
+    def test_compares_collapsed_rows(self, torus5):
+        # a private cooperator in place of a defector collapses onto the
+        # same main-model row, so the equivalence still holds
+        trace = self._two_order_trace(torus5, self.PARAMS, seed=8)
+        later = trace.snapshots[1:]
+        assert not (later == PC).any() and (later == D).any()
+        later[later == D] = PC
+        assert check_reduction_equivalence(torus5, trace, seed=8)
+
 
 class TestPresetDraws:
     def test_values_are_positional(self):
@@ -282,6 +325,20 @@ def test_bound_suite_smoke():
     for o in outcomes:
         _, applicable, _, _, satisfied = o.detail.split(",")
         assert (applicable, satisfied) == ("true", "true")
+
+
+def test_oscillation_suite_fails_a_tampered_snapshot(monkeypatch):
+    from peerpressure import suites
+
+    def tampered_run(*args, **kwargs):
+        trace = run(*args, **kwargs)
+        trace.snapshots[30, -1] = C if trace.snapshots[30, -1] != C else D
+        return trace
+
+    assert all(o.passed for o in suites.oscillation_suite(0))
+    monkeypatch.setattr(suites, "run", tampered_run)
+    assert [o.report_line("oscillation").split(",")[2]
+            for o in suites.oscillation_suite(0)] == ["FAIL", "FAIL"]
 
 
 def test_suite_report_lines():

@@ -1,5 +1,7 @@
 """The synchronous engine: draws, ties, stepping, running, traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,14 @@ def test_golden_tied_run_consumes_draws_in_index_order(path3):
     assert draws[3] <= 0.5  # first tied option is cooperator
 
 
+def _assert_snapshot_stack(trace, n):
+    # one C-contiguous int8 array, a row per entry of counts
+    assert isinstance(trace.snapshots, np.ndarray)
+    assert trace.snapshots.dtype == np.int8
+    assert trace.snapshots.shape == (trace.rounds + 1, n)
+    assert trace.snapshots.flags.c_contiguous
+
+
 class TestRun:
     def test_exact_round_count_by_default(self, torus5, grid_params):
         init = np.zeros(25, dtype=np.int8)
@@ -171,10 +181,31 @@ class TestRun:
         params = MainParams(e_h=0.1, rho_h=0.5, rho_d=0.7)
         trace = run(triangle, np.full(3, C, dtype=np.int8), params,
                     UpdateRule.main_greedy(), np.random.default_rng(0),
-                    max_rounds=10, early_stop=True)
+                    max_rounds=10, early_stop=True, record_snapshots=True)
         assert trace.termination is Termination.FIXED_POINT
         assert trace.round_reached == 0
         assert trace.rounds == 1
+        _assert_snapshot_stack(trace, 3)
+        assert (trace.snapshots == C).all()
+
+    def test_huge_round_budget_with_early_stop(self, torus5, grid_params):
+        # rows are collected as the run steps: a budget far beyond the
+        # rounds reached must not be allocated up front, not even lazily
+        init = np.zeros(25, dtype=np.int8)
+        init[0] = C
+        tracemalloc.start()
+        try:
+            trace = run(torus5, init, grid_params, UpdateRule.main_greedy(),
+                        np.random.default_rng(1), max_rounds=10**9, early_stop=True,
+                        record_snapshots=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26  # a row per budgeted round would be gigabytes
+        assert trace.termination is Termination.FIXED_POINT
+        assert trace.rounds < 50
+        assert trace.counts.shape[0] == trace.rounds + 1
+        _assert_snapshot_stack(trace, 25)
 
     def test_two_cycle_detected(self):
         # small side all-defector against a cooperating large side swaps
@@ -185,11 +216,13 @@ class TestRun:
         init = np.zeros(13, dtype=np.int8)
         init[3:] = C
         trace = run(g, init, params, UpdateRule.main_greedy(), np.random.default_rng(0),
-                    max_rounds=50, early_stop=True)
+                    max_rounds=50, early_stop=True, record_snapshots=True)
         assert trace.termination is Termination.TWO_CYCLE
         assert trace.round_reached == 0
         assert trace.counts[0].tolist() == [3, 0, 10]
         assert trace.counts[1].tolist() == [10, 0, 3]
+        _assert_snapshot_stack(trace, 13)
+        assert np.array_equal(trace.snapshots[2], init)
 
     def test_counts_conserve_players(self, torus5, grid_params):
         rng = np.random.default_rng(4)
@@ -197,6 +230,7 @@ class TestRun:
         trace = run(torus5, init, grid_params, UpdateRule.main_greedy(),
                     np.random.default_rng(2), max_rounds=7, record_snapshots=True)
         assert (trace.counts.sum(axis=1) == 25).all()
+        _assert_snapshot_stack(trace, 25)
         for t, snap in enumerate(trace.snapshots):
             assert np.bincount(snap, minlength=3).tolist() == trace.counts[t].tolist()
 
