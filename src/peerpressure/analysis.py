@@ -126,6 +126,8 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
         raise ValueError(f"configuration shapes {before.shape}, {after.shape} do not match n={n}")
     if before.ndim == 2 and before.shape[0] == 0:
         raise CheckRefused("contagion needs at least one round")
+    if before.min(initial=0) < 0 or after.min(initial=0) < 0:
+        raise ValueError("behaviour codes must not be negative")
     if before.max(initial=0) > Behavior.COOPERATOR or after.max(initial=0) > Behavior.COOPERATOR:
         raise CheckRefused("contagion is a main-model check")
     return np.array_equal(after != Behavior.DEFECTOR,

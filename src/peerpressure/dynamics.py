@@ -44,7 +44,13 @@ choice, and resolves ties only for players whose ``k`` is tied. On
 networks where every vertex has the same degree ``d`` the punishing mask
 is gathered once through the network's column-major ``(d, n)`` neighbour
 table, and ``k`` is one reduce over its ``d`` contiguous rows in an
-integer type wide enough for ``d``.
+integer type wide enough for ``d``. A network of at least
+``_STENCIL_MIN_VERTICES`` (2,500) vertices that is exactly the row-major
+torus of :func:`~peerpressure.graphs.build_torus_grid` skips the gather:
+``k`` is four shifted whole-array slice adds of its mask plus a fix-up of
+the first and last columns of the ``(height, width)`` grid, with the same
+``uint8`` values the table gives. The stencil is about ten times faster
+at 300x300; the two meet near 50x50, and below that the table wins.
 """
 
 from __future__ import annotations
@@ -168,25 +174,64 @@ _HYPOCRITICAL = int(Behavior.HYPOCRITICAL)
 _COOPERATOR = int(Behavior.COOPERATOR)
 
 
+# Tori below this many vertices keep the table gather, which is faster
+# there. Per call, mask included, table against stencil on a 2-core x86-64
+# VM with numpy 2.4: 11-18 against 14-22 us at 40x40, 16-23 against
+# 14-21 us at 50x50, 24-26 against 15-22 us at 64x64, and 400-550 against
+# 50-56 us at 300x300.
+_STENCIL_MIN_VERTICES = 2500
+
+
 def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     """Per-vertex count of neighbours currently punishing.
 
     Hypocrites and cooperators punish, defectors and private cooperators
     do not; in the main model this is exactly the non-defector neighbour
-    count. When every vertex has degree ``d`` the mask is gathered through
-    the network's ``(d, n)`` :meth:`~peerpressure.graphs.Network.neighbor_table`
-    and its ``d`` contiguous rows are added in the narrowest unsigned type
-    that holds ``d``; otherwise the counts come from a weighted
-    ``bincount`` as int64.
+    count. A network of at least ``_STENCIL_MIN_VERTICES`` vertices whose
+    :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
+    counts with slices over the row-major grid (:func:`_torus_counts`).
+    Otherwise, when every vertex has degree ``d``, the mask is gathered
+    through the network's ``(d, n)``
+    :meth:`~peerpressure.graphs.Network.neighbor_table` and its ``d``
+    contiguous rows are added in the narrowest unsigned type that holds
+    ``d``; both regular paths give ``uint8`` counts on a torus. Irregular
+    networks count with a weighted ``bincount`` as int64.
     """
     mask = (config == _HYPOCRITICAL) | (config == _COOPERATOR)
     d = network.regular_degree
+    if d == 4 and network.vertex_count >= _STENCIL_MIN_VERTICES:
+        shape = network.torus_shape()
+        if shape is not None:
+            return _torus_counts(mask.view(np.uint8), *shape)
     if d is not None:
         return np.add.reduce(mask.view(np.uint8).take(network.neighbor_table()),
                              axis=0, dtype=np.min_scalar_type(d))
     weights = mask[network.indices].astype(np.float64)
     return np.bincount(network.neighbor_src, weights=weights,
                        minlength=network.vertex_count).astype(np.int64)
+
+
+def _torus_counts(mask: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Punishing counts on the row-major ``width`` x ``height`` torus from a
+    ``uint8`` mask, as four shifted whole-array adds and four column fixes."""
+    n = mask.size
+    k = np.empty(n, dtype=np.uint8)
+    # vertical neighbours u + width and u - width, wrapping modulo n
+    k[:n - width] = mask[width:]
+    k[n - width:] = mask[:width]
+    k[width:] += mask[:n - width]
+    k[:width] += mask[n - width:]
+    # horizontal neighbours u + 1 and u - 1 read across row ends, so the
+    # last column took the next row's first player and the first column the
+    # previous row's last; swap those for the player at the own row's far end
+    k[:-1] += mask[1:]
+    k[1:] += mask[:-1]
+    grid, k_grid = mask.reshape(height, width), k.reshape(height, width)
+    k_grid[:, -1] += grid[:, 0]
+    k_grid[:-1, -1] -= grid[1:, 0]
+    k_grid[:, 0] += grid[:, -1]
+    k_grid[1:, 0] -= grid[:-1, -1]
+    return k
 
 
 def _validate_config(config: np.ndarray, n: int, rule: UpdateRule) -> np.ndarray:

@@ -39,7 +39,9 @@ class Network:
     The arrays derived from these (``neighbor_src``, ``degrees``,
     ``regular_degree``) are set once on construction. A regular network
     also has a column-major copy of ``indices``, :meth:`neighbor_table`,
-    built on first use and cached, like connectivity.
+    and any network can tell whether it is exactly a row-major torus,
+    :meth:`torus_shape`; both are worked out on first use and cached, like
+    connectivity.
     """
 
     indptr: np.ndarray
@@ -51,6 +53,8 @@ class Network:
     regular_degree: int | None = field(init=False, repr=False)
     _connected: bool | None = field(default=None, init=False, repr=False)
     _table: np.ndarray | None = field(default=None, init=False, repr=False)
+    #: (width, height) once recognised as a torus, () once ruled out.
+    _torus: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -127,6 +131,33 @@ class Network:
             self._table = np.ascontiguousarray(self.indices.reshape(self.vertex_count, d).T)
         return self._table
 
+    def torus_shape(self) -> tuple[int, int] | None:
+        """``(width, height)`` if this network is exactly
+        ``build_torus_grid(width, height)``, else None.
+
+        On such a network the vertices lie row-major on a ``(height,
+        width)`` grid: vertex ``x + y * width`` is adjacent to
+        ``(x +/- 1) % width + y * width`` and ``x + ((y +/- 1) % height) *
+        width``, so a per-vertex array reshaped to ``(height, width)`` is the
+        grid itself. Recognition reads only the CSR arrays, so a torus read
+        back from an edge list is recognised too: the width is vertex 0's
+        third-smallest neighbour (its sorted neighbours are ``1, width - 1,
+        width, n - width``), and every row must then equal the torus's.
+        Checked on the first call and cached; the check's temporaries (76 MB
+        at 1000x1000, below the build's own peak) are not kept.
+        """
+        if self._torus is None:
+            self._torus = ()
+            n = self.vertex_count
+            if self.regular_degree == 4:
+                width = int(self.indices[2])
+                height = n // width
+                if (width >= 3 and height >= 3 and width * height == n
+                        and np.array_equal(np.sort(_torus_columns(width, height), axis=1).ravel(),
+                                           self.indices)):
+                    self._torus = (width, height)
+        return self._torus or None
+
     @classmethod
     def from_edges(cls, n: int, edges) -> "Network":
         """Network on ``n`` vertices from ``m`` edges, an ``(m, 2)`` array or a list of pairs."""
@@ -170,18 +201,25 @@ def build_torus_grid(width: int, height: int) -> Network:
     """Wrap-around rectangular grid; every vertex has exactly 4 neighbours.
 
     Vertex (x, y) has index ``x + y * width`` and is adjacent to
-    (x +/- 1 mod width, y) and (x, y +/- 1 mod height). Both dimensions
+    (x +/- 1 mod width, y) and (x, y +/- 1 mod height); this row-major
+    layout is what :meth:`Network.torus_shape` recognises. Both dimensions
     must be at least 3, otherwise wrap-around neighbours would coincide
     and the graph would not be simple and 4-regular.
     """
     if width < 3 or height < 3:
         raise ValueError(f"torus dimensions must be >= 3, got {width}x{height}")
+    n = width * height
+    return Network(np.arange(0, 4 * n + 1, 4), _torus_columns(width, height).ravel())
+
+
+def _torus_columns(width: int, height: int) -> np.ndarray:
+    """The ``(n, 4)`` neighbours of the row-major torus, unsorted: row
+    ``x + y * width`` holds the neighbours at x + 1, x - 1, y + 1 and y - 1."""
     x = np.tile(np.arange(width, dtype=np.int64), height)
     row = np.repeat(np.arange(height, dtype=np.int64) * width, width)
     n = width * height
-    columns = np.stack([(x + 1) % width + row, (x - 1) % width + row,
-                        (row + width) % n + x, (row - width) % n + x], axis=1)
-    return Network(np.arange(0, 4 * n + 1, 4), columns.ravel())
+    return np.stack([(x + 1) % width + row, (x - 1) % width + row,
+                     (row + width) % n + x, (row - width) % n + x], axis=1)
 
 
 def sample_random_regular(n: int, d: int, rng: np.random.Generator) -> Network:

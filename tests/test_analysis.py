@@ -93,19 +93,22 @@ class TestContagionCheck:
         with pytest.raises(CheckRefused, match="main-model"):
             check_contagion(self.g, before, np.zeros(4, dtype=np.int8), self.params)
 
-    @pytest.mark.parametrize("before, after", [
-        ([H, D, D, D, D], [D, H, D, H]),
-        ([H, D, D], [D, H, D, H]),
-        ([H, D, D, D], [D, H, D, H, D]),
-        ([[H, D, D, D], [D, H, D, H]], [[D, H, D, H]]),
-        ([[H, D, D, D, D]], [[D, H, D, H, D]]),
-        ([[H, D, D, D]], [D, H, D, H]),
-        ([[[H, D, D, D]]], [[[D, H, D, H]]]),
+    @pytest.mark.parametrize("before, after, match", [
+        ([H, D, D, D, D], [D, H, D, H], "do not match n=4"),
+        ([H, D, D], [D, H, D, H], "do not match n=4"),
+        ([H, D, D, D], [D, H, D, H, D], "do not match n=4"),
+        ([[H, D, D, D], [D, H, D, H]], [[D, H, D, H]], "do not match n=4"),
+        ([[H, D, D, D, D]], [[D, H, D, H, D]], "do not match n=4"),
+        ([[H, D, D, D]], [D, H, D, H], "do not match n=4"),
+        ([[[H, D, D, D]]], [[[D, H, D, H]]], "do not match n=4"),
+        ([-1, D, D, D], [D, -5, D, H], "negative"),
+        ([[H, D, D, D]], [[D, H, D, -1]], "negative"),
     ], ids=["long-before", "short-before", "long-after", "stack-rows", "stack-width",
-            "stack-against-one", "stack-of-stacks"])
-    def test_rejects_wrong_length(self, before, after):
-        # these used to pass: the check compared vertex sets, not masks of length n
-        with pytest.raises(ValueError, match="do not match n=4"):
+            "stack-against-one", "stack-of-stacks", "negative-both", "negative-after"])
+    def test_rejects_wrong_length(self, before, after, match):
+        # these used to pass: the check compared vertex sets, not masks of
+        # length n, and bounded behaviour codes only from above
+        with pytest.raises(ValueError, match=match):
             check_contagion(self.g, np.array(before, dtype=np.int8),
                             np.array(after, dtype=np.int8), self.params)
 

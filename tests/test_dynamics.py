@@ -407,6 +407,20 @@ def _hub_config(n):
     return config
 
 
+def _relabelled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.vertex_count)
+    return Network.from_edges(g.vertex_count, perm[np.array(g.edges())])
+
+
+def _two_switched(width, height, a, c):
+    """The torus with edges (a, a + 1) and (c, c + 1) swapped for (a, c) and
+    (a + 1, c + 1): still 4-regular, and unchanged around vertex 0."""
+    edges = set(build_torus_grid(width, height).edges())
+    edges -= {(a, a + 1), (c, c + 1)}
+    edges |= {(a, c), (a + 1, c + 1)}
+    return Network.from_edges(width * height, sorted(edges))
+
+
 @pytest.fixture(scope="module")
 def graphs():
     from conftest import random_connected_gnp
@@ -422,11 +436,19 @@ def graphs():
         "torus7x5": build_torus_grid(7, 5),
         "edge": Network.from_edges(2, [(0, 1)]),
         "single": Network.from_edges(1, []),  # d = 0, a (0, 1) table
+        # tori above the stencil gate, square-ish and thin both ways
+        "torus60x50": build_torus_grid(60, 50),
+        "torus3x1000": build_torus_grid(3, 1000),
+        "torus1000x3": build_torus_grid(1000, 3),
+        # near-tori, which must not be taken for the row-major torus
+        "relabelled": _relabelled(build_torus_grid(60, 50), 11),
+        "switched": _two_switched(60, 50, 30 + 25 * 60, 30 + 27 * 60),
     }
 
 
 HIGH_DEGREE = ("wheel", "complete")
-ALL_GRAPHS = ["torus", "regular", "gnp", "wheel", "complete", "torus7x5", "edge", "single"]
+ALL_GRAPHS = ["torus", "regular", "gnp", "wheel", "complete", "torus7x5", "edge", "single",
+              "torus60x50", "torus3x1000", "torus1000x3", "relabelled", "switched"]
 
 
 def _case(graphs, rule_name, graph_name):
@@ -509,6 +531,25 @@ class TestNeighborTable:
             run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
             assert g._table is table
             assert g.neighbor_table() is table
+
+    def test_stencil_only_on_large_exact_tori(self, graphs, tmp_path, grid_params):
+        from peerpressure import read_edge_list, write_edge_list
+
+        write_edge_list(graphs["torus60x50"], str(tmp_path / "torus.edges"))
+        cases = {
+            "torus60x50": (graphs["torus60x50"], (60, 50)),
+            "read back": (read_edge_list(str(tmp_path / "torus.edges")), (60, 50)),
+            # the README simulate torus sits exactly at the gate
+            "50x50": (build_torus_grid(50, 50), (50, 50)),
+            "relabelled": (graphs["relabelled"], None),
+            "switched": (graphs["switched"], None),
+        }
+        for name, (g, shape) in cases.items():
+            assert g.regular_degree == 4, name
+            init = np.full(g.vertex_count, C, dtype=np.int8)
+            run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
+            assert g.torus_shape() == shape, name
+            assert (g._table is None) == (shape is not None), name
 
     def test_irregular_network_has_none(self, path3, grid_params):
         init = np.full(3, C, dtype=np.int8)

@@ -118,6 +118,12 @@ class TestTorus:
         g, want = build_torus_grid(w, h), Network.from_edges(w * h, edges)
         assert g.indptr.tolist() == want.indptr.tolist()
         assert g.indices.tolist() == want.indices.tolist()
+        assert want.torus_shape() == (w, h)
+
+    def test_other_four_regular_graphs_have_no_torus_shape(self):
+        k5 = Network.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+        assert k5.regular_degree == 4 and k5.torus_shape() is None
+        assert Network.from_edges(3, [(0, 1), (1, 2), (2, 0)]).torus_shape() is None
 
     @given(w=st.integers(3, 10), h=st.integers(3, 10))
     @settings(max_examples=25, deadline=None)
