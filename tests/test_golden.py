@@ -4,7 +4,10 @@ Every optimisation must leave these outputs bit-identical for the same
 seeds: snapshot stacks under all four rules, the README ``simulate`` trace
 CSV, small sweep CSV/PPM files and ``verify`` reports. The digests were
 taken from the per-player cost-matrix stepper, before the decision-table
-stepper replaced it; a changed digest means a changed result.
+stepper replaced it; a changed digest means a changed result. The
+large-network stacks, 60x50 torus and 3,000-vertex 5-regular graph, were
+pinned from the decision-table stepper with the torus slice stencil, before
+behaviour lookups on large networks changed form.
 
 Parameters are dyadic so that many cost comparisons are exact ties and
 the tie-breaking draw order is pinned along with the costs.
@@ -59,6 +62,24 @@ SNAPSHOT_DIGESTS = {
     ("two-order-greedy", "gnp"): "769f98050dd945b3e033de4f2af8fa885db476fc04c80c0953ca0bc6b44d158e",
 }
 
+# networks of at least 2,500 vertices, where the stepper takes its
+# whole-array passes; only the torus takes the slice stencil
+LARGE_GRAPHS = {
+    "torus60x50": lambda: build_torus_grid(60, 50),
+    "regular3000": lambda: sample_random_regular(3000, 5, np.random.default_rng(13)),
+}
+
+LARGE_SNAPSHOT_DIGESTS = {
+    ("main-greedy", "torus60x50"): "a7c9908ec8eabb3e8c587201780995e5821a20d6e2db3eafa20d77534836b980",
+    ("main-greedy", "regular3000"): "95d3d7ee36ae8a89b2389a76e3dd5d6bf1a69119b80baab872120bf717380523",
+    ("main-noisy", "torus60x50"): "78efa54f747df689673910e20aaf72d700745dccf43ca4ccb1f29ccfec2a7508",
+    ("main-noisy", "regular3000"): "0dd61a015876020779ca7017a2e90bbecdbd97f2e15d92b598d97b9dcc161997",
+    ("main-no-hypocrisy", "torus60x50"): "7ea3b7b1403ce292385bf78cd02cac5c92c521920bae2473f91177f931d11009",
+    ("main-no-hypocrisy", "regular3000"): "f30b5fbac917376ceb4ee3efe412ed4d1fdd4778dd32b89338b0d08d6e8208a2",
+    ("two-order-greedy", "torus60x50"): "3b3429086bcff5852b4bfc237d1a45d45415db0626f5b756e7ba5a58b808beba",
+    ("two-order-greedy", "regular3000"): "faf370d8f7f7f37cd37ccc724a84a9b8dffb796a5cea1b7f706094903c621bcc",
+}
+
 SIMULATE_DIGEST = "269f7992714fdc834b3d263ea1660b63a0cadc691a720ecf9be0311bd0c40ce1"
 
 SWEEPS = {
@@ -95,16 +116,25 @@ def file_digest(path) -> str:
         return sha256(fh.read())
 
 
-@pytest.mark.parametrize("rule_name,graph_name", sorted(SNAPSHOT_DIGESTS))
-def test_snapshot_stack(rule_name, graph_name):
+def snapshot_digest(rule_name, g, rounds) -> str:
     rule, params, codes = RULES[rule_name]
-    g = GRAPHS[graph_name]()
     rng = np.random.default_rng([len(rule_name), g.vertex_count])
     init = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
-    trace = run(g, init, params, rule, np.random.default_rng(7), max_rounds=12,
+    trace = run(g, init, params, rule, np.random.default_rng(7), max_rounds=rounds,
                 record_snapshots=True)
-    stack = np.stack(trace.snapshots).astype(np.int8)
-    assert sha256(stack.tobytes()) == SNAPSHOT_DIGESTS[rule_name, graph_name]
+    return sha256(trace.snapshots.astype(np.int8).tobytes())
+
+
+@pytest.mark.parametrize("rule_name,graph_name", sorted(SNAPSHOT_DIGESTS))
+def test_snapshot_stack(rule_name, graph_name):
+    digest = snapshot_digest(rule_name, GRAPHS[graph_name](), rounds=12)
+    assert digest == SNAPSHOT_DIGESTS[rule_name, graph_name]
+
+
+@pytest.mark.parametrize("rule_name,graph_name", sorted(LARGE_SNAPSHOT_DIGESTS))
+def test_large_snapshot_stack(rule_name, graph_name):
+    digest = snapshot_digest(rule_name, LARGE_GRAPHS[graph_name](), rounds=20)
+    assert digest == LARGE_SNAPSHOT_DIGESTS[rule_name, graph_name]
 
 
 def test_readme_simulate_trace(tmp_path, capsys):
