@@ -44,13 +44,22 @@ choice, and resolves ties only for players whose ``k`` is tied. On
 networks where every vertex has the same degree ``d`` the punishing mask
 is gathered once through the network's column-major ``(d, n)`` neighbour
 table, and ``k`` is one reduce over its ``d`` contiguous rows in an
-integer type wide enough for ``d``. A network of at least
-``_STENCIL_MIN_VERTICES`` (2,500) vertices that is exactly the row-major
-torus of :func:`~peerpressure.graphs.build_torus_grid` skips the gather:
-``k`` is four shifted whole-array slice adds of its mask plus a fix-up of
-the first and last columns of the ``(height, width)`` grid, with the same
-``uint8`` values the table gives. The stencil is about ten times faster
-at 300x300; the two meet near 50x50, and below that the table wins.
+integer type wide enough for ``d``.
+
+Networks of at least ``_WHOLE_ARRAY_MIN_VERTICES`` (2,500) vertices trade
+two gathers for whole-array passes, which only pay off at that size:
+
+* The choice. The costs are affine in ``k``, so the choice is piecewise
+  constant, changing by ``delta`` at a few breakpoints ``j``. It is built
+  as the choice at ``k = 0`` plus ``delta`` wherever ``k >= j``: one
+  ``int8`` compare and add per breakpoint instead of a ``take`` through
+  ``k``, about six times faster at 300x300.
+* The counts on a torus. A network that is exactly the row-major torus of
+  :func:`~peerpressure.graphs.build_torus_grid` skips the neighbour table:
+  ``k`` is four shifted whole-array slice adds of its mask plus a fix-up
+  of the first and last columns of the ``(height, width)`` grid, with the
+  same ``uint8`` values the table gives, about ten times faster at
+  300x300.
 """
 
 from __future__ import annotations
@@ -174,12 +183,14 @@ _HYPOCRITICAL = int(Behavior.HYPOCRITICAL)
 _COOPERATOR = int(Behavior.COOPERATOR)
 
 
-# Tori below this many vertices keep the table gather, which is faster
-# there. Per call, mask included, table against stencil on a 2-core x86-64
-# VM with numpy 2.4: 11-18 against 14-22 us at 40x40, 16-23 against
-# 14-21 us at 50x50, 24-26 against 15-22 us at 64x64, and 400-550 against
-# 50-56 us at 300x300.
-_STENCIL_MIN_VERTICES = 2500
+# Networks below this many vertices keep the gathers, which are faster
+# there. On a 2-core x86-64 VM with numpy 2.4, per call: punishing counts
+# on a torus, mask included, table against stencil, 11-18 against 14-22 us
+# at 40x40, 16-23 against 14-21 us at 50x50, 24-26 against 15-22 us at
+# 64x64 and 400-550 against 50-56 us at 300x300; the choice lookup, take
+# against breakpoints, 0.6-1.1 against 7.5-7.9 us at 16 vertices, 4.2-5.3
+# against 7.6-8.7 us at 2,500 and 122-168 against 24-26 us at 90,000.
+_WHOLE_ARRAY_MIN_VERTICES = 2500
 
 
 def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
@@ -187,7 +198,7 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
 
     Hypocrites and cooperators punish, defectors and private cooperators
     do not; in the main model this is exactly the non-defector neighbour
-    count. A network of at least ``_STENCIL_MIN_VERTICES`` vertices whose
+    count. A network of at least ``_WHOLE_ARRAY_MIN_VERTICES`` vertices whose
     :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
     counts with slices over the row-major grid (:func:`_torus_counts`).
     Otherwise, when every vertex has degree ``d``, the mask is gathered
@@ -199,7 +210,7 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     """
     mask = (config == _HYPOCRITICAL) | (config == _COOPERATOR)
     d = network.regular_degree
-    if d == 4 and network.vertex_count >= _STENCIL_MIN_VERTICES:
+    if d == 4 and network.vertex_count >= _WHOLE_ARRAY_MIN_VERTICES:
         shape = network.torus_shape()
         if shape is not None:
             return _torus_counts(mask.view(np.uint8), *shape)
@@ -252,6 +263,10 @@ class DecisionTable:
     with the cheapest ones first, so ``tied[k, 0]`` is the first-preference
     choice and ``tied[k, :n_min[k]]`` are the behaviours tied at the
     minimum cost. ``codes`` holds the rule's behaviours in preference order.
+    ``breakpoints`` lists ``(j, delta)`` for every ``k = j`` where the
+    choice changes, ``delta = choice[j] - choice[j - 1]`` (negative where
+    codes go down), so ``choice[k]`` is ``choice[0]`` plus the ``delta`` of
+    every ``j <= k``.
     """
 
     params: MainParams | TwoOrderParams
@@ -261,6 +276,7 @@ class DecisionTable:
     n_min: np.ndarray
     is_tied: np.ndarray
     tied: np.ndarray
+    breakpoints: tuple[tuple[int, int], ...]
 
 
 def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
@@ -283,8 +299,12 @@ def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
     n_min = is_min.sum(axis=0)
     # a stable sort keeps preference order within the cheapest and the rest
     tied = codes[np.argsort(~is_min, axis=0, kind="stable")].T.copy()
-    return DecisionTable(params=params, rule=rule, codes=codes, choice=tied[:, 0].copy(),
-                         n_min=n_min, is_tied=n_min > 1, tied=tied)
+    choice = tied[:, 0].copy()
+    by_k = choice.tolist()
+    breakpoints = tuple((j, by_k[j] - by_k[j - 1])
+                        for j in range(1, len(by_k)) if by_k[j] != by_k[j - 1])
+    return DecisionTable(params=params, rule=rule, codes=codes, choice=choice,
+                         n_min=n_min, is_tied=n_min > 1, tied=tied, breakpoints=breakpoints)
 
 
 def _interval_pick(r: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -308,6 +328,10 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
     first takes ``ties.random(n)`` noise draws, then one call takes a tie
     draw per tied player in ascending index.
 
+    The first-preference choice is ``table.choice.take(k)`` below
+    ``_WHOLE_ARRAY_MIN_VERTICES`` vertices and is summed from
+    ``table.breakpoints`` at or above it; both give the same codes.
+
     Without ``table`` the parameters and the configuration are validated
     and a table is built for the network's maximum degree. A caller that
     passes the ``table`` of ``params`` and ``rule`` vouches for a valid
@@ -322,7 +346,15 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
         raise ValueError("decision table was built for other parameters or another rule")
 
     k = punishing_counts(network, config)
-    out = table.choice.take(k)
+    if n < _WHOLE_ARRAY_MIN_VERTICES:
+        out = table.choice.take(k)
+    else:
+        out = np.full(n, table.choice[0], dtype=np.int8)
+        for j, delta in table.breakpoints:
+            jumped = (k >= j).view(np.int8)
+            if delta != 1:
+                jumped *= delta
+            out += jumped
 
     if noisy:
         noise = ties.random(n)

@@ -25,6 +25,34 @@ def test_generate_torus(tmp_path, capsys):
     assert g.vertex_count == 36
 
 
+def test_generate_torus_summary_without_bfs(tmp_path, capsys, monkeypatch):
+    import peerpressure.cli as cli
+
+    def no_bfs(network):
+        raise AssertionError("compute_metrics called for a torus")
+
+    monkeypatch.setattr(cli, "compute_metrics", no_bfs)
+    out = tmp_path / "torus.edges"
+    assert run_cli("generate", "--torus", "7", "4", "--out", str(out)) == 0
+    assert ("generated torus:7x4: n=28 m=56 min_degree=4 diameter=5 "
+            "bipartite=false odd_girth=7") in capsys.readouterr().out
+
+
+def test_torus_summary_matches_metrics():
+    from peerpressure import build_torus_grid, compute_metrics
+    from peerpressure.cli import _generated_summary
+    from peerpressure.experiments import NetworkSpec
+
+    for width in range(3, 10):
+        for height in range(3, 10):
+            g = build_torus_grid(width, height)
+            metrics = compute_metrics(g)
+            spec = NetworkSpec(kind="torus", width=width, height=height)
+            assert _generated_summary(spec, g) == (
+                metrics.min_degree, metrics.diameter, metrics.is_bipartite,
+                metrics.odd_girth), (width, height)
+
+
 def test_generate_regular_requires_seed(tmp_path, capsys):
     out = tmp_path / "g.edges"
     assert run_cli("generate", "--regular", "20", "3", "--out", str(out)) == 2

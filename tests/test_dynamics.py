@@ -1,6 +1,8 @@
 """The synchronous engine: draws, ties, stepping, running, traces."""
 
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +19,12 @@ from peerpressure import (
     decision_table,
     format_trace_csv,
     punishing_counts,
+    reference_step,
     run,
     step,
     write_trace_csv,
 )
+from peerpressure.dynamics import _WHOLE_ARRAY_MIN_VERTICES
 
 D, H, C, PC = 0, 1, 2, 3
 
@@ -443,12 +447,15 @@ def graphs():
         # near-tori, which must not be taken for the row-major torus
         "relabelled": _relabelled(build_torus_grid(60, 50), 11),
         "switched": _two_switched(60, 50, 30 + 25 * 60, 30 + 27 * 60),
+        # above the gate without the stencil: counts through the neighbour table
+        "regular3000": sample_random_regular(3000, 5, np.random.default_rng(13)),
     }
 
 
 HIGH_DEGREE = ("wheel", "complete")
 ALL_GRAPHS = ["torus", "regular", "gnp", "wheel", "complete", "torus7x5", "edge", "single",
-              "torus60x50", "torus3x1000", "torus1000x3", "relabelled", "switched"]
+              "torus60x50", "torus3x1000", "torus1000x3", "relabelled", "switched",
+              "regular3000"]
 
 
 def _case(graphs, rule_name, graph_name):
@@ -500,8 +507,6 @@ def test_punishing_counts_match_python_count(graphs, graph_name):
 @pytest.mark.parametrize("graph_name", HIGH_DEGREE)
 @pytest.mark.parametrize("rule_name", ["main-greedy", "main-no-hypocrisy", "two-order-greedy"])
 def test_step_matches_reference_at_high_degree(graphs, rule_name, graph_name):
-    from peerpressure import reference_step
-
     g, rule, params, config = _case(graphs, rule_name, graph_name)
     values = np.random.default_rng(2).random(g.vertex_count)
     fast = step(g, config, params, rule, PresetDraws(values))
@@ -510,6 +515,55 @@ def test_step_matches_reference_at_high_degree(graphs, rule_name, graph_name):
     # vertex 0 decides a genuine tie at k = 256, where a uint8 count reads 0
     assert punishing_counts(g, config)[0] == 256
     assert decision_table(params, rule, 256).n_min[256] > 1
+
+
+# Generic parameters tie nowhere. The two-order set chooses D, D, PC, PC, C,
+# C for k = 0..5: codes go down from PC (3) to C (2) at k = 4.
+GENERIC = (MainParams(e_h=0.1, rho_h=0.23, rho_d=0.45),
+           TwoOrderParams(alpha1=0.3, alpha2=1.1, beta1=0.2, beta2=0.3))
+
+
+def _reference_noisy(g, config, params, p_greedy, values):
+    """``reference_step`` under the noisy rule: ``values`` holds ``n`` noise
+    draws, then the tie draws of the players whose noise kept them greedy."""
+    n = g.vertex_count
+    greedy = UpdateRule.main_greedy()
+    noise, tie_values = values[:n], iter(values[n:])
+    # a tied player picks its first tied behaviour at r = 0 and its last at r = 1
+    low = reference_step(g, config, params, np.zeros(n), greedy)
+    high = reference_step(g, config, params, np.ones(n), greedy)
+    draws = [0.0 if noise[u] > p_greedy else next(tie_values)
+             for u in range(n) if low[u] != high[u]]
+    out = reference_step(g, config, params, draws, greedy)
+    for u in np.flatnonzero(noise > p_greedy):
+        r = (noise[u] - p_greedy) / (1.0 - p_greedy)
+        out[u] = (C, H, D)[max(math.ceil(r * 3) - 1, 0)]
+    return out
+
+
+@pytest.mark.parametrize("param_set", ["tie-rich", "generic"])
+@pytest.mark.parametrize("graph_name", ["torus60x50", "regular3000"])
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name, param_set):
+    g = graphs[graph_name]
+    rule, codes = RULES[rule_name]
+    main, two_order = LOW_TIES if param_set == "tie-rich" else GENERIC
+    params = two_order if rule.is_two_order else main
+    rng = np.random.default_rng([len(rule_name), len(graph_name), len(param_set)])
+    config = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
+    values = rng.random(2 * g.vertex_count)
+    fast = step(g, config, params, rule, PresetDraws(values))
+    if rule_name == "main-noisy":
+        slow = _reference_noisy(g, config, params, rule.p_greedy, values)
+    else:
+        slow = reference_step(g, config, params, values, rule=rule)
+    assert fast.tolist() == slow
+    # the choice is summed from breakpoints here, and ties are decided
+    assert g.vertex_count >= _WHOLE_ARRAY_MIN_VERTICES
+    table = decision_table(params, rule, g.regular_degree)
+    assert table.breakpoints
+    k = punishing_counts(g, config)
+    assert table.is_tied.take(k).any() == (param_set == "tie-rich")
 
 
 class TestNeighborTable:
@@ -576,3 +630,44 @@ class TestDecisionTable:
         with pytest.raises(ValueError, match="decision table"):
             step(triangle, config, grid_params, UpdateRule.main_no_hypocrisy(),
                  np.random.default_rng(0), table=table)
+
+    def test_breakpoints_rebuild_choice(self):
+        rng = np.random.default_rng(23)
+        dyadic = [0.125, 0.25, 0.5, 1.0, 2.0]
+        falls = tied_breaks = 0
+        for rule_name, (rule, _) in sorted(RULES.items()):
+            for _ in range(150):
+                if rule.is_two_order:
+                    params = TwoOrderParams(*(float(rng.choice(dyadic)) for _ in range(4)))
+                else:
+                    params = MainParams(e_h=float(rng.choice(dyadic[:4])),
+                                        rho_h=float(rng.choice(dyadic)),
+                                        rho_d=float(rng.choice(dyadic)))
+                table = decision_table(params, rule, 12)
+                choice = table.choice.tolist()
+                for k in range(13):
+                    rebuilt = choice[0] + sum(delta for j, delta in table.breakpoints if k >= j)
+                    assert rebuilt == choice[k], (rule_name, params, k)
+                falls += any(delta < 0 for _, delta in table.breakpoints)
+                tied_breaks += any(table.n_min[j] > 1 for j, _ in table.breakpoints)
+        # the grid reaches codes that go down and ties at a breakpoint
+        assert falls and tied_breaks
+
+    def test_breakpoints_used_from_the_gate_on(self):
+        # README parameters: choice D, H, H, H, C and no ties
+        params, rule = GENERIC[0], UpdateRule.main_greedy()
+        table = decision_table(params, rule, 4)
+        assert table.breakpoints == ((1, 1), (4, 1))
+        assert not table.is_tied.any()
+        # a table without breakpoints shows which lookup runs
+        blank = replace(table, breakpoints=())
+        for width, height, summed in ((50, 50, True), (51, 49, False)):
+            g = build_torus_grid(width, height)
+            config = np.random.default_rng(width).integers(0, 3, g.vertex_count).astype(np.int8)
+            k = punishing_counts(g, config)
+            looked_up = table.choice.take(k)
+            assert (looked_up != table.choice[0]).any()
+            assert np.array_equal(step(g, config, params, rule, None, table=table), looked_up)
+            out = step(g, config, params, rule, None, table=blank)
+            expected = np.full(g.vertex_count, table.choice[0]) if summed else looked_up
+            assert np.array_equal(out, expected), (width, height)

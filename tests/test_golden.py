@@ -122,7 +122,7 @@ def snapshot_digest(rule_name, g, rounds) -> str:
     init = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
     trace = run(g, init, params, rule, np.random.default_rng(7), max_rounds=rounds,
                 record_snapshots=True)
-    return sha256(trace.snapshots.astype(np.int8).tobytes())
+    return sha256(trace.snapshots.tobytes())
 
 
 @pytest.mark.parametrize("rule_name,graph_name", sorted(SNAPSHOT_DIGESTS))
