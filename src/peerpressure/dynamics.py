@@ -39,27 +39,22 @@ functions (:func:`~peerpressure.model.cost_main`,
 :func:`~peerpressure.model.cost_two_order`) once over the array of every
 ``k`` in ``0..max_degree`` and records the first-preference cheapest
 behaviour, the number of tied cheapest behaviours and the tied behaviours
-in preference order. A round counts ``k`` for every player, looks up the
-choice, and resolves ties only for players whose ``k`` is tied. On
-networks where every vertex has the same degree ``d`` the punishing mask
-is gathered once through the network's column-major ``(d, n)`` neighbour
-table, and ``k`` is one reduce over its ``d`` contiguous rows in an
-integer type wide enough for ``d``.
-
-Networks of at least ``_WHOLE_ARRAY_MIN_VERTICES`` (2,500) vertices trade
-two gathers for whole-array passes, which only pay off at that size:
-
-* The choice. The costs are affine in ``k``, so the choice is piecewise
-  constant, changing by ``delta`` at a few breakpoints ``j``. It is built
-  as the choice at ``k = 0`` plus ``delta`` wherever ``k >= j``: one
-  ``int8`` compare and add per breakpoint instead of a ``take`` through
-  ``k``, about six times faster at 300x300.
-* The counts on a torus. A network that is exactly the row-major torus of
-  :func:`~peerpressure.graphs.build_torus_grid` skips the neighbour table:
-  ``k`` is four shifted whole-array slice adds of its mask plus a fix-up
-  of the first and last columns of the ``(height, width)`` grid, with the
-  same ``uint8`` values the table gives, about ten times faster at
-  300x300.
+in preference order. The costs are affine in ``k``, so the choice is
+piecewise constant, changing by ``delta`` at a few breakpoints ``j``. A
+round counts ``k`` for every player, builds the choice as the choice at
+``k = 0`` plus ``delta`` wherever ``k >= j`` (one ``int8`` compare and add
+per breakpoint, with no index conversion of ``k``), and resolves ties
+only for players whose ``k`` is tied. On networks where every vertex has
+the same degree ``d`` the punishing mask is gathered once through the
+network's column-major ``(d, n)`` neighbour table, and ``k`` is one
+reduce over its ``d`` contiguous rows in an integer type wide enough for
+``d``. A network of at least ``_STENCIL_MIN_VERTICES`` (2,500) vertices
+that is exactly the row-major torus of
+:func:`~peerpressure.graphs.build_torus_grid` skips the gather: ``k`` is
+four shifted whole-array slice adds of its mask plus a fix-up of the
+first and last columns of the ``(height, width)`` grid, with the same
+``uint8`` values the table gives. The stencil is about ten times faster
+at 300x300; the two meet near 50x50, and below that the table wins.
 """
 
 from __future__ import annotations
@@ -183,14 +178,12 @@ _HYPOCRITICAL = int(Behavior.HYPOCRITICAL)
 _COOPERATOR = int(Behavior.COOPERATOR)
 
 
-# Networks below this many vertices keep the gathers, which are faster
-# there. On a 2-core x86-64 VM with numpy 2.4, per call: punishing counts
-# on a torus, mask included, table against stencil, 11-18 against 14-22 us
-# at 40x40, 16-23 against 14-21 us at 50x50, 24-26 against 15-22 us at
-# 64x64 and 400-550 against 50-56 us at 300x300; the choice lookup, take
-# against breakpoints, 0.6-1.1 against 7.5-7.9 us at 16 vertices, 4.2-5.3
-# against 7.6-8.7 us at 2,500 and 122-168 against 24-26 us at 90,000.
-_WHOLE_ARRAY_MIN_VERTICES = 2500
+# Tori below this many vertices keep the table gather, which is faster
+# there. Per call, mask included, table against stencil on a 2-core x86-64
+# VM with numpy 2.4: 11-18 against 14-22 us at 40x40, 16-23 against
+# 14-21 us at 50x50, 24-26 against 15-22 us at 64x64, and 400-550 against
+# 50-56 us at 300x300.
+_STENCIL_MIN_VERTICES = 2500
 
 
 def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
@@ -198,7 +191,7 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
 
     Hypocrites and cooperators punish, defectors and private cooperators
     do not; in the main model this is exactly the non-defector neighbour
-    count. A network of at least ``_WHOLE_ARRAY_MIN_VERTICES`` vertices whose
+    count. A network of at least ``_STENCIL_MIN_VERTICES`` vertices whose
     :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
     counts with slices over the row-major grid (:func:`_torus_counts`).
     Otherwise, when every vertex has degree ``d``, the mask is gathered
@@ -210,7 +203,7 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     """
     mask = (config == _HYPOCRITICAL) | (config == _COOPERATOR)
     d = network.regular_degree
-    if d == 4 and network.vertex_count >= _WHOLE_ARRAY_MIN_VERTICES:
+    if d == 4 and network.vertex_count >= _STENCIL_MIN_VERTICES:
         shape = network.torus_shape()
         if shape is not None:
             return _torus_counts(mask.view(np.uint8), *shape)
@@ -328,9 +321,7 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
     first takes ``ties.random(n)`` noise draws, then one call takes a tie
     draw per tied player in ascending index.
 
-    The first-preference choice is ``table.choice.take(k)`` below
-    ``_WHOLE_ARRAY_MIN_VERTICES`` vertices and is summed from
-    ``table.breakpoints`` at or above it; both give the same codes.
+    The first-preference choice is summed from ``table.breakpoints``.
 
     Without ``table`` the parameters and the configuration are validated
     and a table is built for the network's maximum degree. A caller that
@@ -346,15 +337,12 @@ def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
         raise ValueError("decision table was built for other parameters or another rule")
 
     k = punishing_counts(network, config)
-    if n < _WHOLE_ARRAY_MIN_VERTICES:
-        out = table.choice.take(k)
-    else:
-        out = np.full(n, table.choice[0], dtype=np.int8)
-        for j, delta in table.breakpoints:
-            jumped = (k >= j).view(np.int8)
-            if delta != 1:
-                jumped *= delta
-            out += jumped
+    out = np.full(n, table.choice[0], dtype=np.int8)
+    for j, delta in table.breakpoints:
+        jumped = (k >= j).view(np.int8)
+        if delta != 1:
+            jumped *= delta
+        out += jumped
 
     if noisy:
         noise = ties.random(n)

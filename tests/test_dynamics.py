@@ -24,7 +24,6 @@ from peerpressure import (
     step,
     write_trace_csv,
 )
-from peerpressure.dynamics import _WHOLE_ARRAY_MIN_VERTICES
 
 D, H, C, PC = 0, 1, 2, 3
 
@@ -558,8 +557,7 @@ def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name,
     else:
         slow = reference_step(g, config, params, values, rule=rule)
     assert fast.tolist() == slow
-    # the choice is summed from breakpoints here, and ties are decided
-    assert g.vertex_count >= _WHOLE_ARRAY_MIN_VERTICES
+    # the choice is summed from breakpoints, and ties are decided
     table = decision_table(params, rule, g.regular_degree)
     assert table.breakpoints
     k = punishing_counts(g, config)
@@ -653,21 +651,18 @@ class TestDecisionTable:
         # the grid reaches codes that go down and ties at a breakpoint
         assert falls and tied_breaks
 
-    def test_breakpoints_used_from_the_gate_on(self):
+    def test_step_sums_breakpoints(self):
         # README parameters: choice D, H, H, H, C and no ties
         params, rule = GENERIC[0], UpdateRule.main_greedy()
         table = decision_table(params, rule, 4)
         assert table.breakpoints == ((1, 1), (4, 1))
         assert not table.is_tied.any()
-        # a table without breakpoints shows which lookup runs
+        g = build_torus_grid(7, 5)
+        config = np.random.default_rng(7).integers(0, 3, g.vertex_count).astype(np.int8)
+        looked_up = table.choice.take(punishing_counts(g, config))
+        assert (looked_up != table.choice[0]).any()
+        assert np.array_equal(step(g, config, params, rule, None, table=table), looked_up)
+        # a table copied without breakpoints shows that step reads them
         blank = replace(table, breakpoints=())
-        for width, height, summed in ((50, 50, True), (51, 49, False)):
-            g = build_torus_grid(width, height)
-            config = np.random.default_rng(width).integers(0, 3, g.vertex_count).astype(np.int8)
-            k = punishing_counts(g, config)
-            looked_up = table.choice.take(k)
-            assert (looked_up != table.choice[0]).any()
-            assert np.array_equal(step(g, config, params, rule, None, table=table), looked_up)
-            out = step(g, config, params, rule, None, table=blank)
-            expected = np.full(g.vertex_count, table.choice[0]) if summed else looked_up
-            assert np.array_equal(out, expected), (width, height)
+        out = step(g, config, params, rule, None, table=blank)
+        assert np.array_equal(out, np.full(g.vertex_count, table.choice[0]))
