@@ -186,27 +186,26 @@ def reference_step(network: Network, config, params, draws, rule: UpdateRule) ->
 
     Pure-Python loops, costs written out literally, behaviours compared
     one at a time; shares no cost or selection code with
-    :func:`peerpressure.dynamics.step`, its only common ground being the
-    documented tie sub-interval convention. The i-th tied player, in
-    ascending index, decides with the uniform ``draws[i]``, as ``step``
-    does when fed ``PresetDraws(draws)``.
+    :func:`peerpressure.dynamics.step`, only the randomness contract of
+    :mod:`peerpressure.dynamics`. Under the noisy rule ``draws[:n]`` are
+    the noise draws; every tied player left greedy, in ascending index,
+    decides with the next unused draw, as ``step`` does when fed
+    ``PresetDraws(draws)``.
     """
-    if rule.kind is RuleKind.MAIN_NOISY:
-        raise ValueError("reference stepper only covers greedy rules")
-
     n = network.vertex_count
     config = list(int(b) for b in config)
     if len(config) != n:
         raise ValueError("configuration length does not match the network")
+    noisy = rule.kind is RuleKind.MAIN_NOISY
+    if noisy and len(draws) < n:
+        raise ValueError(f"too few draws for the noise draws: {len(draws)} given")
 
     punishes = {int(Behavior.HYPOCRITICAL), int(Behavior.COOPERATOR)}
     result = []
-    cursor = 0
+    cursor = n if noisy else 0
     for u in range(n):
-        k = 0
-        for v in network.neighbors(u):
-            if config[v] in punishes:
-                k += 1
+        k = sum(config[v] in punishes for v in network.neighbors(u))
+        # listed in preference order, which the noisy rule picks from
         options: list[tuple[int, float]] = []
         if isinstance(params, TwoOrderParams):
             options.append((int(Behavior.COOPERATOR), params.alpha1 + params.alpha2))
@@ -220,17 +219,19 @@ def reference_step(network: Network, config, params, draws, rule: UpdateRule) ->
                 options = [opt for opt in options if opt[0] != int(Behavior.HYPOCRITICAL)]
             options.append((int(Behavior.DEFECTOR), k * params.rho_d))
 
-        best = min(cost for _, cost in options)
-        tied = [b for b, cost in options if cost == best]
-        if len(tied) == 1:
-            result.append(tied[0])
+        if noisy and float(draws[u]) > rule.p_greedy:
+            candidates = [b for b, _ in options]
+            r = (float(draws[u]) - rule.p_greedy) / (1.0 - rule.p_greedy)
         else:
+            best = min(cost for _, cost in options)
+            candidates = [b for b, cost in options if cost == best]
+            if len(candidates) == 1:
+                result.append(candidates[0])
+                continue
             if cursor == len(draws):
                 raise ValueError(f"too few draws for the tied players: {len(draws)} given")
             r = float(draws[cursor])
             cursor += 1
-            m = len(tied)
-            idx = math.ceil(r * m) - 1
-            idx = min(max(idx, 0), m - 1)
-            result.append(tied[idx])
+        m = len(candidates)
+        result.append(candidates[min(max(math.ceil(r * m) - 1, 0), m - 1)])
     return result

@@ -199,7 +199,8 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     :meth:`~peerpressure.graphs.Network.neighbor_table` and its ``d``
     contiguous rows are added in the narrowest unsigned type that holds
     ``d``; both regular paths give ``uint8`` counts on a torus. Irregular
-    networks count with a weighted ``bincount`` as int64.
+    networks count by symmetry, as an int64 ``bincount`` of the punishing
+    vertices' neighbour lists.
     """
     mask = (config == _HYPOCRITICAL) | (config == _COOPERATOR)
     d = network.regular_degree
@@ -210,9 +211,8 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     if d is not None:
         return np.add.reduce(mask.view(np.uint8).take(network.neighbor_table()),
                              axis=0, dtype=np.min_scalar_type(d))
-    weights = mask[network.indices].astype(np.float64)
-    return np.bincount(network.neighbor_src, weights=weights,
-                       minlength=network.vertex_count).astype(np.int64)
+    return np.bincount(network.indices[np.repeat(mask, network.degrees)],
+                       minlength=network.vertex_count)
 
 
 def _torus_counts(mask: np.ndarray, width: int, height: int) -> np.ndarray:

@@ -36,8 +36,8 @@ class Network:
         self-loops or repeated entries. Rows are sorted on construction so
         that equal graphs have identical arrays.
 
-    The arrays derived from these (``neighbor_src``, ``degrees``,
-    ``regular_degree``) are set once on construction. A regular network
+    ``degrees`` and ``regular_degree`` are set once on construction; an
+    arc's source is read from ``indptr``, not stored. A regular network
     also has a column-major copy of ``indices``, :meth:`neighbor_table`,
     and any network can tell whether it is exactly a row-major torus,
     :meth:`torus_shape`; both are worked out on first use and cached, like
@@ -46,8 +46,6 @@ class Network:
 
     indptr: np.ndarray
     indices: np.ndarray
-    #: Source vertex of each entry in ``indices``.
-    neighbor_src: np.ndarray = field(init=False, repr=False)
     degrees: np.ndarray = field(init=False, repr=False)
     #: The degree shared by every vertex; None if degrees differ or n = 0.
     regular_degree: int | None = field(init=False, repr=False)
@@ -86,7 +84,6 @@ class Network:
             raise ValueError(f"asymmetric edge ({u}, {v})")
         self.indptr = indptr
         self.indices = keys - row_base
-        self.neighbor_src = src
         self.degrees = degrees
         regular = n > 0 and bool((degrees == degrees[0]).all())
         self.regular_degree = int(degrees[0]) if regular else None
@@ -105,8 +102,9 @@ class Network:
 
     def edges(self) -> list[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, sorted."""
-        keep = self.neighbor_src < self.indices
-        return list(zip(self.neighbor_src[keep].tolist(), self.indices[keep].tolist()))
+        src = np.repeat(np.arange(self.vertex_count), self.degrees)
+        keep = src < self.indices
+        return list(zip(src[keep].tolist(), self.indices[keep].tolist()))
 
     def is_connected(self) -> bool:
         if self._connected is None:

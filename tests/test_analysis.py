@@ -279,10 +279,19 @@ class TestReferenceStep:
             reference_step(triangle, [0, 0, 0], ties_at_zero, [0.5, 0.5],
                            UpdateRule.main_greedy())
 
-    def test_rejects_noisy_rule(self, triangle, grid_params):
-        with pytest.raises(ValueError, match="greedy"):
-            reference_step(triangle, [0, 0, 0], grid_params, [0.5] * 3,
-                           rule=UpdateRule.main_noisy(0.9))
+    def test_noisy_rule_takes_noise_draws_first(self):
+        # e_h = 0 ties H and D at k = 0. Noise 0.2 keeps player 0 greedy, and
+        # its tie takes the draw after both noise draws: 0.25 gives H. Noise
+        # 0.6 > 0.5 rescales to 0.2, the first third of (C, H, D)
+        g = Network.from_edges(2, [(0, 1)])
+        params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
+        config = np.zeros(2, dtype=np.int8)
+        values = [0.2, 0.6, 0.25]
+        rule = UpdateRule.main_noisy(0.5)
+        slow = reference_step(g, config, params, values, rule)
+        assert step(g, config, params, rule, PresetDraws(values)).tolist() == slow == [H, C]
+        with pytest.raises(ValueError, match="too few draws"):
+            reference_step(g, config, params, values[:1], rule)
 
     def test_two_order_rule_takes_private_cooperators(self, triangle):
         out = reference_step(triangle, [D, H, PC], TwoOrderParams(1, 1, 1, 1),

@@ -1,6 +1,5 @@
 """The synchronous engine: draws, ties, stepping, running, traces."""
 
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -490,17 +489,34 @@ def test_run_equals_iterated_step(graphs, rule_name, graph_name):
     assert ties.random() == run_ties.random()
 
 
-@pytest.mark.parametrize("graph_name", ALL_GRAPHS)
+# Irregular and disconnected, so counted and stepped only below: run refuses them.
+ISOLATED = {
+    "isolated-last": Network.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    "isolated-middle": Network.from_edges(6, [(0, 1), (1, 2), (0, 2), (4, 5)]),
+}
+
+
+@pytest.mark.parametrize("graph_name", ALL_GRAPHS + sorted(ISOLATED))
 def test_punishing_counts_match_python_count(graphs, graph_name):
-    g = graphs[graph_name]
-    regular = graph_name not in ("gnp", "wheel")
+    g = ISOLATED[graph_name] if graph_name in ISOLATED else graphs[graph_name]
+    regular = graph_name not in ("gnp", "wheel", *ISOLATED)
     assert (g.regular_degree is not None) == regular
     rng = np.random.default_rng(9)
     configs = [rng.integers(0, 4, size=g.vertex_count).astype(np.int8),
                np.full(g.vertex_count, C, dtype=np.int8),
                _hub_config(g.vertex_count)]
     for config in configs:
-        assert punishing_counts(g, config).tolist() == _python_counts(g, config)
+        counts = punishing_counts(g, config)
+        assert counts.tolist() == _python_counts(g, config)
+        if not regular:
+            assert counts.dtype == np.int64
+    if graph_name in ISOLATED:
+        for rule_name, (rule, _) in RULES.items():
+            params = LOW_TIES[1] if rule.is_two_order else LOW_TIES[0]
+            config = configs[0] if rule.is_two_order else configs[0] % 3
+            values = rng.random(2 * g.vertex_count)
+            fast = step(g, config, params, rule, PresetDraws(values))
+            assert fast.tolist() == reference_step(g, config, params, values, rule), rule_name
 
 
 @pytest.mark.parametrize("graph_name", HIGH_DEGREE)
@@ -522,24 +538,6 @@ GENERIC = (MainParams(e_h=0.1, rho_h=0.23, rho_d=0.45),
            TwoOrderParams(alpha1=0.3, alpha2=1.1, beta1=0.2, beta2=0.3))
 
 
-def _reference_noisy(g, config, params, p_greedy, values):
-    """``reference_step`` under the noisy rule: ``values`` holds ``n`` noise
-    draws, then the tie draws of the players whose noise kept them greedy."""
-    n = g.vertex_count
-    greedy = UpdateRule.main_greedy()
-    noise, tie_values = values[:n], iter(values[n:])
-    # a tied player picks its first tied behaviour at r = 0 and its last at r = 1
-    low = reference_step(g, config, params, np.zeros(n), greedy)
-    high = reference_step(g, config, params, np.ones(n), greedy)
-    draws = [0.0 if noise[u] > p_greedy else next(tie_values)
-             for u in range(n) if low[u] != high[u]]
-    out = reference_step(g, config, params, draws, greedy)
-    for u in np.flatnonzero(noise > p_greedy):
-        r = (noise[u] - p_greedy) / (1.0 - p_greedy)
-        out[u] = (C, H, D)[max(math.ceil(r * 3) - 1, 0)]
-    return out
-
-
 @pytest.mark.parametrize("param_set", ["tie-rich", "generic"])
 @pytest.mark.parametrize("graph_name", ["torus60x50", "regular3000"])
 @pytest.mark.parametrize("rule_name", sorted(RULES))
@@ -552,10 +550,7 @@ def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name,
     config = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
     values = rng.random(2 * g.vertex_count)
     fast = step(g, config, params, rule, PresetDraws(values))
-    if rule_name == "main-noisy":
-        slow = _reference_noisy(g, config, params, rule.p_greedy, values)
-    else:
-        slow = reference_step(g, config, params, values, rule=rule)
+    slow = reference_step(g, config, params, values, rule=rule)
     assert fast.tolist() == slow
     # the choice is summed from breakpoints, and ties are decided
     table = decision_table(params, rule, g.regular_degree)

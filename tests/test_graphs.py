@@ -82,10 +82,8 @@ def test_basic_counts_and_edges(triangle):
 
 
 def test_flat_neighbor_arrays(path3):
-    # indices concatenates the neighbour lists; neighbor_src labels each entry
     assert path3.indptr.tolist() == [0, 1, 3, 4]
     assert path3.indices.tolist() == [1, 0, 2, 1]
-    assert path3.neighbor_src.tolist() == [0, 1, 1, 2]
     assert [path3.neighbors(u) for u in range(3)] == [[1], [0, 2], [1]]
 
 
