@@ -91,6 +91,11 @@ SWEEPS = {
                       "e_h_count": 3, "rho_h_count": 3, "rho_d": 0.5, "epsilon": 0.1,
                       "rounds": 15, "repetitions": 2, "rule": "main-noisy",
                       "p_greedy": 0.75, "master_seed": 2},
+    "regular-fresh": {"network": "regular", "n": 24, "degree": 4,
+                      "e_h_count": 3, "rho_h_count": 3, "rho_d": 0.5, "epsilon": 0.1,
+                      "rounds": 12, "repetitions": 3, "rule": "main-noisy",
+                      "p_greedy": 0.75, "master_seed": 3,
+                      "fresh_network_per_repetition": True},
 }
 
 SWEEP_DIGESTS = {
@@ -98,6 +103,8 @@ SWEEP_DIGESTS = {
     ("torus-greedy", "ppm"): "a6f4343d1b6f354716d69995088edd3411a5ff0dec17b449fc9fdd2b16700796",
     ("regular-noisy", "csv"): "e330baf5e807e13f70394ff4d48db6bffc58134dc57aaeb0e2d7da31b6b20f73",
     ("regular-noisy", "ppm"): "c67759ed958f847ddb2fac76a5d316fd48e0c7fb4493198c6aa5d0d2e0135b89",
+    ("regular-fresh", "csv"): "60f132e01eedbcf2856f3d2e9efedcec226343cf92d63a1862dcaf1ac2f1bf95",
+    ("regular-fresh", "ppm"): "d5e3a42512123a24e752bae1cb9fc113145b51443fc19db0bd4cf7e1c8088f63",
 }
 
 VERIFY_DIGESTS = {
