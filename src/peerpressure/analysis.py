@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphMetrics, Network
-from .model import Behavior, MainParams, TwoOrderParams, map_configuration, map_two_order_params
+from .model import (Behavior, ConditionStatus, MainParams, TwoOrderParams,
+                    classify_main_conditions, map_configuration, map_two_order_params)
 from .dynamics import RuleKind, Trace, UpdateRule, run
 
 
@@ -73,8 +74,6 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
     (raises :class:`CheckRefused`) for traces run under any other rule or
     with parameters outside the window, where the bound claims nothing.
     """
-    from .model import ConditionStatus, classify_main_conditions
-
     if trace.rule.kind is not RuleKind.MAIN_GREEDY:
         raise CheckRefused(f"bound audit requires the greedy main rule, got {trace.rule.kind.value}")
     status = classify_main_conditions(trace.params, metrics.min_degree)
@@ -113,14 +112,15 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
     stacks, such as a trace's ``S[:-1]`` and ``S[1:]``. The identity holds
     for the greedy main model whenever open defection is the dearest escape
     (``e_h + rho_h < rho_d``) and hypocrisy costs something (``e_h > 0``);
-    otherwise, or for an empty stack, the check refuses.
+    otherwise, or for an empty stack, the check refuses. The codes are
+    checked as given, before any cast: a negative or fractional code raises
+    ``ValueError``, and a code above the cooperator's refuses.
     """
     if not params.e_h + params.rho_h < params.rho_d:
         raise CheckRefused("contagion requires e_h + rho_h < rho_d")
     if params.e_h <= 0.0:
         raise CheckRefused("contagion requires e_h > 0")
-    before = np.asarray(before, dtype=np.int8)
-    after = np.asarray(after, dtype=np.int8)
+    before, after = np.asarray(before), np.asarray(after)
     n = network.vertex_count
     if before.shape != after.shape or before.ndim not in (1, 2) or before.shape[-1] != n:
         raise ValueError(f"configuration shapes {before.shape}, {after.shape} do not match n={n}")
@@ -130,6 +130,8 @@ def check_contagion(network: Network, before: np.ndarray, after: np.ndarray,
         raise ValueError("behaviour codes must not be negative")
     if before.max(initial=0) > Behavior.COOPERATOR or after.max(initial=0) > Behavior.COOPERATOR:
         raise CheckRefused("contagion is a main-model check")
+    if (before % 1).any() or (after % 1).any():
+        raise ValueError("behaviour codes must be integers")
     return np.array_equal(after != Behavior.DEFECTOR,
                           neighborhood(network, before != Behavior.DEFECTOR))
 

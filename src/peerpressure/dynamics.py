@@ -39,22 +39,24 @@ functions (:func:`~peerpressure.model.cost_main`,
 :func:`~peerpressure.model.cost_two_order`) once over the array of every
 ``k`` in ``0..max_degree`` and records the first-preference cheapest
 behaviour, the number of tied cheapest behaviours and the tied behaviours
-in preference order. The costs are affine in ``k``, so the choice is
-piecewise constant, changing by ``delta`` at a few breakpoints ``j``. A
-round counts ``k`` for every player, builds the choice as the choice at
-``k = 0`` plus ``delta`` wherever ``k >= j`` (one ``int8`` compare and add
-per breakpoint, with no index conversion of ``k``), and resolves ties
-only for players whose ``k`` is tied. On networks where every vertex has
-the same degree ``d`` the punishing mask is gathered once through the
-network's column-major ``(d, n)`` neighbour table, and ``k`` is one
-reduce over its ``d`` contiguous rows in an integer type wide enough for
-``d``. A network of at least ``_STENCIL_MIN_VERTICES`` (2,500) vertices
-that is exactly the row-major torus of
-:func:`~peerpressure.graphs.build_torus_grid` skips the gather: ``k`` is
-four shifted whole-array slice adds of its mask plus a fix-up of the
-first and last columns of the ``(height, width)`` grid, with the same
-``uint8`` values the table gives. The stencil is about ten times faster
-at 300x300; the two meet near 50x50, and below that the table wins.
+in preference order. :func:`run` alone validates its input and builds one
+table per run for the network's maximum degree; :func:`step` reads the
+parameters and the rule from that table and trusts its configuration. The
+costs are affine in ``k``, so the choice is piecewise constant, changing
+by ``delta`` at a few breakpoints ``j``. A round counts ``k`` for every
+player, builds the choice as the choice at ``k = 0`` plus ``delta``
+wherever ``k >= j`` (one ``int8`` compare and add per breakpoint, with no
+index conversion of ``k``), and resolves ties only for players whose ``k``
+is tied. On networks where every vertex has the same degree ``d`` the
+punishing mask is gathered once through the network's column-major
+``(d, n)`` neighbour table, and ``k`` is one reduce over its ``d``
+contiguous rows in an integer type wide enough for ``d``. A network of at least
+``_STENCIL_MIN_VERTICES`` (2,500) vertices that is exactly the row-major
+torus of :func:`~peerpressure.graphs.build_torus_grid` skips the gather:
+``k`` is four shifted whole-array slice adds of its mask plus a fix-up of
+the first and last columns of the ``(height, width)`` grid, with the same
+``uint8`` values the table gives. The stencil is about ten times faster at
+300x300; the two meet near 50x50, and below that the table wins.
 """
 
 from __future__ import annotations
@@ -149,15 +151,12 @@ class Trace:
     ``counts[t]`` holds the number of players in each behaviour (column
     order: defector, hypocrite, cooperator, and private cooperator for
     two-order runs) after round ``t``; row 0 is the initial configuration.
-    ``round_reached`` is the first round of the detected terminal pattern
-    for early-stopped runs (the repeated round for a fixed point, the
-    first provably periodic round for a two-cycle) and the last simulated
-    round otherwise. ``snapshots``, when recorded, is one C-contiguous int8
+    ``rounds`` and ``round_reached`` are read from ``counts`` and
+    ``termination``. ``snapshots``, when recorded, is one C-contiguous int8
     ``(rounds + 1, n)`` array, row for row with ``counts``.
     """
 
     counts: np.ndarray
-    round_reached: int
     termination: Termination
     rule: UpdateRule
     params: MainParams | TwoOrderParams
@@ -171,6 +170,14 @@ class Trace:
     def rounds(self) -> int:
         """Number of simulated rounds (rows minus the initial one)."""
         return self.counts.shape[0] - 1
+
+    @property
+    def round_reached(self) -> int:
+        """The first round of the detected repeat for early-stopped runs (one
+        before the last round for a fixed point, two before it for a
+        two-cycle), and the last simulated round otherwise."""
+        lag = {Termination.FIXED_POINT: 1, Termination.TWO_CYCLE: 2}.get(self.termination, 0)
+        return self.rounds - lag
 
 
 # Plain ints: comparing an array with an IntEnum member is several times slower.
@@ -238,16 +245,6 @@ def _torus_counts(mask: np.ndarray, width: int, height: int) -> np.ndarray:
     return k
 
 
-def _validate_config(config: np.ndarray, n: int, rule: UpdateRule) -> np.ndarray:
-    config = np.asarray(config, dtype=np.int8)
-    if config.shape != (n,):
-        raise ValueError(f"configuration shape {config.shape} does not match n={n}")
-    limit = 4 if rule.is_two_order else 3
-    if config.size and (config.min() < 0 or config.max() >= limit):
-        raise ValueError(f"behaviour codes out of range for rule {rule.kind.value}")
-    return config
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionTable:
     """Best responses of one parameter set and rule, per punishing count k.
@@ -309,33 +306,24 @@ def _interval_pick(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.clip(np.ceil(r * m).astype(np.int64) - 1, 0, m - 1)
 
 
-def step(network: Network, config: np.ndarray, params, rule: UpdateRule,
-         ties, table: DecisionTable | None = None) -> np.ndarray:
+def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np.ndarray:
     """One synchronous revision round; returns the next configuration.
 
     Every player looks up the cheapest behaviours available under
-    ``rule`` for its punishing-neighbour count in ``config`` (see
-    :func:`decision_table`) and adopts one, resolving exact-tie sets
-    through ``ties``, a :class:`numpy.random.Generator` or any object whose
-    ``random(size)`` returns the next ``size`` uniforms: the noisy rule
-    first takes ``ties.random(n)`` noise draws, then one call takes a tie
-    draw per tied player in ascending index.
+    ``table.rule`` with ``table.params`` for its punishing-neighbour count
+    in ``config`` (see :func:`decision_table`) and adopts one, resolving
+    exact-tie sets through ``ties``, a :class:`numpy.random.Generator` or
+    any object whose ``random(size)`` returns the next ``size`` uniforms:
+    the noisy rule first takes ``ties.random(n)`` noise draws, then one
+    call takes a tie draw per tied player in ascending index. The
+    first-preference choice is summed from ``table.breakpoints``.
 
-    The first-preference choice is summed from ``table.breakpoints``.
-
-    Without ``table`` the parameters and the configuration are validated
-    and a table is built for the network's maximum degree. A caller that
-    passes the ``table`` of ``params`` and ``rule`` vouches for a valid
-    configuration, as :func:`run` does after checking the initial one.
+    ``step`` trusts its input: ``config`` must hold valid codes for the
+    table's rule, and ``table`` must cover the network's maximum degree.
     """
+    rule = table.rule
     noisy = rule.kind is RuleKind.MAIN_NOISY
     n = network.vertex_count
-    if table is None:
-        table = decision_table(params, rule, int(network.degrees.max(initial=0)))
-        config = _validate_config(config, n, rule)
-    elif table.params != params or table.rule != rule:
-        raise ValueError("decision table was built for other parameters or another rule")
-
     k = punishing_counts(network, config)
     out = np.full(n, table.choice[0], dtype=np.int8)
     for j, delta in table.breakpoints:
@@ -375,47 +363,53 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         record_snapshots: bool = False) -> Trace:
     """Iterate :func:`step` for up to ``max_rounds`` rounds.
 
-    The parameters and the initial configuration are validated once and
-    one decision table serves every round; later configurations are
-    table outputs and valid by construction. With ``early_stop`` the run
-    halts as soon as the latest configuration repeats the previous one
-    (fixed point) or the one before that (two-cycle); otherwise exactly
-    ``max_rounds`` rounds are simulated, which keeps round counts
-    comparable across runs. Snapshots are stacked once, on return.
+    ``run`` validates what ``step`` trusts. Building the decision table
+    checks that ``params`` belong to ``rule``. Row 0 of the counts is taken
+    from ``initial`` as given, before the int8 cast, and must account for
+    every player in the rule's codes, so a code the cast would change
+    (258, -255, 1.7) or one the rule lacks raises ``ValueError``.
+
+    With ``early_stop`` the run halts as soon as the latest configuration
+    repeats the previous one (fixed point) or the one before that
+    (two-cycle); otherwise exactly ``max_rounds`` rounds are simulated,
+    which keeps round counts comparable across runs. Snapshots are stacked
+    once, on return.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
-    if network.vertex_count == 0:
+    n = network.vertex_count
+    if n == 0:
         raise ValueError("simulation requires a non-empty network")
     if not network.is_connected():
         raise ValueError("simulation requires a connected network")
     table = decision_table(params, rule, int(network.degrees.max(initial=0)))
-    config = _validate_config(initial, network.vertex_count, rule).copy()
-
+    initial = np.asarray(initial)
+    if initial.shape != (n,):
+        raise ValueError(f"configuration shape {initial.shape} does not match n={n}")
     width = 4 if rule.is_two_order else 3
-    counts = [_behaviour_counts(config, width)]
+    counts = [_behaviour_counts(initial, width)]
+    if sum(counts[0][code] for code in rule.available) != n:
+        raise ValueError(f"behaviour codes out of range for rule {rule.kind.value}")
+    config = initial.astype(np.int8)
     snapshots = [config] if record_snapshots else None
     prev = None
     termination = Termination.MAX_ROUNDS
-    round_reached = max_rounds
-    for t in range(1, max_rounds + 1):
-        nxt = step(network, config, params, rule, ties, table=table)
+    for _ in range(max_rounds):
+        nxt = step(network, config, table, ties)
         counts.append(_behaviour_counts(nxt, width))
         if record_snapshots:
             snapshots.append(nxt)
         if early_stop:
             if np.array_equal(nxt, config):
                 termination = Termination.FIXED_POINT
-                round_reached = t - 1
                 break
             if prev is not None and np.array_equal(nxt, prev):
                 termination = Termination.TWO_CYCLE
-                round_reached = t - 2
                 break
         prev = config
         config = nxt
-    return Trace(counts=np.array(counts, dtype=np.int64), round_reached=round_reached,
-                 termination=termination, rule=rule, params=params,
+    return Trace(counts=np.array(counts, dtype=np.int64), termination=termination,
+                 rule=rule, params=params,
                  snapshots=None if snapshots is None else np.stack(snapshots))
 
 

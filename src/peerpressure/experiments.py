@@ -1,10 +1,12 @@
 """Reproducible experiments: single time evolutions and phase-diagram sweeps.
 
 Every run derives its randomness from an explicit integer master seed
-through fixed derivation paths (one child sequence per purpose: graph
-sampling, initial configuration, tie draws; sweeps extend the path with
-cell and repetition indices). Results are therefore bit-reproducible and,
-for sweeps, independent of how many workers execute the cells.
+through fixed derivation paths. :func:`run_time_evolution` takes a seed or
+a seed path and appends one index per purpose: 0 for graph sampling, 1 for
+the initial configuration, 2 for tie draws. A sweep runs each repetition
+through it with the path ``(master_seed, i, j, rep)`` of its cell and
+repetition. Results are therefore bit-reproducible and, for sweeps,
+independent of how many workers execute the cells.
 """
 
 from __future__ import annotations
@@ -76,22 +78,25 @@ def derived_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
 
 
 def run_time_evolution(network: Network | NetworkSpec, params, epsilon: float,
-                       rule: UpdateRule, seed: int, rounds: int,
+                       rule: UpdateRule, seed: int | tuple[int, ...], rounds: int,
                        early_stop: bool = False) -> tuple[Network, Trace]:
     """One seeded run from a freshly sampled initial configuration.
 
-    The initial configuration matches the rule: the usual
-    mostly-defector mix for main-model rules, the four-way mix for the
-    two-order rule, and the defector-or-cooperator mix when hypocrisy is
-    disabled. Passing a :class:`NetworkSpec` samples the network from the
-    same master seed (fresh graph per seed); passing a built
-    :class:`Network` reuses it.
+    ``seed`` is a master seed or a seed path, a tuple that starts with the
+    master seed; the network, the initial configuration and the tie draws
+    take the path extended by 0, 1 and 2. The initial configuration
+    matches the rule: the usual mostly-defector mix for main-model rules,
+    the four-way mix for the two-order rule, and the
+    defector-or-cooperator mix when hypocrisy is disabled. Passing a
+    :class:`NetworkSpec` samples the network from the same seed (fresh
+    graph per seed); passing a built :class:`Network` reuses it.
     """
+    path = seed if isinstance(seed, tuple) else (seed,)
     if isinstance(network, NetworkSpec):
-        network = network.build(derived_seed(seed, 0))
+        network = network.build(derived_seed(*path, 0))
     init = _initial_sampler(rule)(network.vertex_count, epsilon,
-                                  np.random.default_rng(derived_seed(seed, 1)))
-    trace = run(network, init, params, rule, np.random.default_rng(derived_seed(seed, 2)),
+                                  np.random.default_rng(derived_seed(*path, 1)))
+    trace = run(network, init, params, rule, np.random.default_rng(derived_seed(*path, 2)),
                 max_rounds=rounds, early_stop=early_stop)
     return network, trace
 
@@ -232,19 +237,14 @@ def _shared_network(network: NetworkSpec, master_seed: int) -> Network:
 def _run_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
     params = MainParams(e_h=float(spec.e_h_values()[i]),
                         rho_h=float(spec.rho_h_values()[j]), rho_d=spec.rho_d)
-    sampler = _initial_sampler(spec.rule)
+    # given the spec, run_time_evolution samples a network per repetition
+    network = (spec.network if spec.fresh_network_per_repetition
+               else _shared_network(spec.network, spec.master_seed))
     total = np.zeros(3)
     for rep in range(spec.repetitions):
-        if spec.fresh_network_per_repetition:
-            network = spec.network.build(derived_seed(spec.master_seed, i, j, rep, 0))
-        else:
-            network = _shared_network(spec.network, spec.master_seed)
-        n = network.vertex_count
-        init = sampler(n, spec.epsilon,
-                       np.random.default_rng(derived_seed(spec.master_seed, i, j, rep, 1)))
-        ties = np.random.default_rng(derived_seed(spec.master_seed, i, j, rep, 2))
-        trace = run(network, init, params, spec.rule, ties, max_rounds=spec.rounds)
-        total += trace.counts[-1][:3] / n
+        _, trace = run_time_evolution(network, params, spec.epsilon, spec.rule,
+                                      (spec.master_seed, i, j, rep), spec.rounds)
+        total += trace.counts[-1][:3] / trace.n
     return total / spec.repetitions
 
 

@@ -24,7 +24,7 @@ from .model import (
     sample_initial_main,
     sample_initial_two_order,
 )
-from .dynamics import UpdateRule, run, step
+from .dynamics import UpdateRule, decision_table, run, step
 from .analysis import (
     PresetDraws,
     audit_convergence_bound,
@@ -191,7 +191,8 @@ def oracle_suite(seed: int, instances: int = 1000) -> list[InstanceOutcome]:
             if kind == 2:
                 config[config == 1] = 2
         values = rng.random(n)
-        fast = step(g, config, params, rule, PresetDraws(values))
+        table = decision_table(params, rule, int(g.degrees.max(initial=0)))
+        fast = step(g, config, table, PresetDraws(values))
         slow = reference_step(g, config, params, values, rule=rule)
         ok = np.array_equal(fast, np.array(slow, dtype=np.int8))
         outcomes.append(InstanceOutcome(i, ok, f"n={n},rule={rule.kind.value}"))

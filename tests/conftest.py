@@ -1,4 +1,4 @@
-"""Shared fixtures and independently written oracle algorithms.
+"""Shared fixtures, helpers and independently written oracle algorithms.
 
 The oracles here deliberately avoid the package's vectorised code paths:
 distances come from a queue-based BFS over plain adjacency lists, and the
@@ -11,7 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from peerpressure import MainParams, Network, build_torus_grid
+from peerpressure import MainParams, Network, build_torus_grid, decision_table
 
 
 def naive_bfs(adjacency, source):
@@ -75,6 +75,11 @@ def random_connected_gnp(rng, n, p):
             adjacency[v].append(u)
         if len(naive_bfs(adjacency, 0)) == n:
             return Network.from_edges(n, edges)
+
+
+def table_for(network, params, rule):
+    """The decision table ``run`` builds: one for the network's maximum degree."""
+    return decision_table(params, rule, int(network.degrees.max(initial=0)))
 
 
 def petersen():

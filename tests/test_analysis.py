@@ -24,12 +24,13 @@ from peerpressure import (
 )
 from peerpressure.dynamics import Trace, Termination
 
+from conftest import table_for
+
 D, H, C, PC = 0, 1, 2, 3
 
 
 def _trace_from_counts(rows, params=None, rule=None):
-    return Trace(counts=np.array(rows, dtype=np.int64), round_reached=len(rows) - 1,
-                 termination=Termination.MAX_ROUNDS,
+    return Trace(counts=np.array(rows, dtype=np.int64), termination=Termination.MAX_ROUNDS,
                  rule=rule or UpdateRule.main_greedy(),
                  params=params or MainParams(0.1, 0.23, 0.45))
 
@@ -93,6 +94,20 @@ class TestContagionCheck:
         with pytest.raises(CheckRefused, match="main-model"):
             check_contagion(self.g, before, np.zeros(4, dtype=np.int8), self.params)
 
+    @pytest.mark.parametrize("before, match", [
+        ([258, D, D, D], "main-model"),  # int8 reads 2
+        ([-255, D, D, D], "negative"),  # int8 reads 1
+        ([1.7, D, D, D], "integers"),  # int8 reads 1
+    ], ids=["int64-258", "int64-minus-255", "float-1.7"])
+    def test_checks_codes_before_the_cast(self, before, match):
+        # a cast first would read 258 as a cooperator at vertex 0, whose
+        # neighbourhood [D, C, D, C] is, and pass the check
+        after = np.array([D, C, D, C])
+        with pytest.raises(ValueError, match=match):
+            check_contagion(self.g, np.array(before), after, self.params)
+        with pytest.raises(ValueError, match=match):
+            check_contagion(self.g, after, np.array(before), self.params)
+
     @pytest.mark.parametrize("before, after, match", [
         ([H, D, D, D, D], [D, H, D, H], "do not match n=4"),
         ([H, D, D], [D, H, D, H], "do not match n=4"),
@@ -114,8 +129,8 @@ class TestContagionCheck:
 
     def test_accepts_exact_neighborhood_growth(self):
         before = np.array([H, D, D, D], dtype=np.int8)
-        after = step(self.g, before, self.params, UpdateRule.main_greedy(),
-                     np.random.default_rng(0))
+        table = table_for(self.g, self.params, UpdateRule.main_greedy())
+        after = step(self.g, before, table, np.random.default_rng(0))
         assert check_contagion(self.g, before, after, self.params)
 
     def test_rejects_tampered_step(self):
@@ -289,7 +304,8 @@ class TestReferenceStep:
         values = [0.2, 0.6, 0.25]
         rule = UpdateRule.main_noisy(0.5)
         slow = reference_step(g, config, params, values, rule)
-        assert step(g, config, params, rule, PresetDraws(values)).tolist() == slow == [H, C]
+        fast = step(g, config, table_for(g, params, rule), PresetDraws(values))
+        assert fast.tolist() == slow == [H, C]
         with pytest.raises(ValueError, match="too few draws"):
             reference_step(g, config, params, values[:1], rule)
 
@@ -305,7 +321,7 @@ class TestReferenceStep:
         config = np.zeros(2, dtype=np.int8)
         values = [0.5, 0.75]
         rule = UpdateRule.main_greedy()
-        fast = step(g, config, params, rule, PresetDraws(values))
+        fast = step(g, config, table_for(g, params, rule), PresetDraws(values))
         slow = reference_step(g, config, params, values, rule)
         assert fast.tolist() == slow == [H, D]
 
@@ -322,8 +338,9 @@ class TestReferenceStep:
         values = np.random.default_rng(3).random(16)
         rule = UpdateRule.main_greedy()
         slow = reference_step(g, config, params, values, rule)
-        assert step(g, config, params, rule, PresetDraws(values)).tolist() == slow
-        assert step(g, config, params, rule, ReversedBlocks(values)).tolist() != slow
+        table = table_for(g, params, rule)
+        assert step(g, config, table, PresetDraws(values)).tolist() == slow
+        assert step(g, config, table, ReversedBlocks(values)).tolist() != slow
 
 
 def test_bound_suite_smoke():

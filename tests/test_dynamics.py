@@ -24,6 +24,8 @@ from peerpressure import (
     write_trace_csv,
 )
 
+from conftest import table_for
+
 D, H, C, PC = 0, 1, 2, 3
 
 
@@ -62,7 +64,8 @@ class TestTieConventions:
         # e_h + rho_h = 1 = rho_d at k=1: all three costs are exactly 1.0
         params = MainParams(e_h=0.5, rho_h=0.5, rho_d=1.0)
         config = np.array([H, C], dtype=np.int8)
-        out = step(self.k2, config, params, UpdateRule.main_greedy(), PresetDraws([r, r]))
+        out = step(self.k2, config, table_for(self.k2, params, UpdateRule.main_greedy()),
+                   PresetDraws([r, r]))
         assert out[0] == out[1]
         return int(out[0])
 
@@ -70,7 +73,8 @@ class TestTieConventions:
         # e_h=0 at k=0 ties defector and hypocrite at cost 0
         params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
         config = np.zeros(2, dtype=np.int8)
-        out = step(self.k2, config, params, UpdateRule.main_greedy(), PresetDraws([r, r]))
+        out = step(self.k2, config, table_for(self.k2, params, UpdateRule.main_greedy()),
+                   PresetDraws([r, r]))
         return int(out[0])
 
     def test_three_way_intervals(self):
@@ -92,24 +96,45 @@ class TestTieConventions:
 
 
 class TestStepValidation:
+    """``step`` trusts its input; ``run`` validates it once per run."""
+
     def test_config_shape(self, triangle, grid_params):
         with pytest.raises(ValueError, match="shape"):
-            step(triangle, np.zeros(4, dtype=np.int8), grid_params,
-                 UpdateRule.main_greedy(), np.random.default_rng(0))
+            run(triangle, np.zeros(4, dtype=np.int8), grid_params,
+                UpdateRule.main_greedy(), np.random.default_rng(0), max_rounds=1)
 
     def test_codes_out_of_range_for_rule(self, triangle, grid_params):
         config = np.array([D, H, PC], dtype=np.int8)
         with pytest.raises(ValueError, match="out of range"):
-            step(triangle, config, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0))
+            run(triangle, config, grid_params, UpdateRule.main_greedy(),
+                np.random.default_rng(0), max_rounds=1)
 
     def test_params_must_match_rule(self, triangle, grid_params):
         two = TwoOrderParams(1, 1, 1, 1)
         with pytest.raises(ValueError, match="MainParams"):
-            step(triangle, np.zeros(3, dtype=np.int8), two,
-                 UpdateRule.main_greedy(), np.random.default_rng(0))
+            run(triangle, np.zeros(3, dtype=np.int8), two,
+                UpdateRule.main_greedy(), np.random.default_rng(0), max_rounds=1)
         with pytest.raises(ValueError, match="TwoOrderParams"):
-            step(triangle, np.zeros(3, dtype=np.int8), grid_params,
-                 UpdateRule.two_order_greedy(), np.random.default_rng(0))
+            run(triangle, np.zeros(3, dtype=np.int8), grid_params,
+                UpdateRule.two_order_greedy(), np.random.default_rng(0), max_rounds=1)
+
+    @pytest.mark.parametrize("config,rule", [
+        (np.array([258, D, D], dtype=np.int64), UpdateRule.main_greedy()),  # int8 reads 2
+        (np.array([-255, D, D], dtype=np.int64), UpdateRule.main_greedy()),  # int8 reads 1
+        (np.array([1.7, D, D]), UpdateRule.main_greedy()),  # int8 reads 1
+        (np.array([D, H, C], dtype=np.int8), UpdateRule.main_no_hypocrisy()),
+    ], ids=["int64-258", "int64-minus-255", "float-1.7", "hypocrite-without-hypocrisy"])
+    def test_codes_checked_before_the_cast(self, triangle, grid_params, config, rule):
+        with pytest.raises(ValueError, match="out of range"):
+            run(triangle, config, grid_params, rule, np.random.default_rng(0), max_rounds=1)
+
+    def test_exact_codes_of_any_dtype_run(self, triangle, grid_params):
+        as_int8 = run(triangle, np.array([D, H, C], dtype=np.int8), grid_params,
+                      UpdateRule.main_greedy(), np.random.default_rng(0), max_rounds=2)
+        for config in ([D, H, C], np.array([D, H, C], dtype=float)):
+            trace = run(triangle, config, grid_params, UpdateRule.main_greedy(),
+                        np.random.default_rng(0), max_rounds=2)
+            assert np.array_equal(trace.counts, as_int8.counts)
 
 
 def test_golden_triangle_run(triangle, grid_params):
@@ -264,8 +289,9 @@ class TestNoisyRule:
 
     def test_fully_random_is_roughly_uniform(self, grid_params):
         g = build_torus_grid(10, 10)
-        out = step(g, np.zeros(100, dtype=np.int8), grid_params,
-                   UpdateRule.main_noisy(0.0), np.random.default_rng(5))
+        rule = UpdateRule.main_noisy(0.0)
+        out = step(g, np.zeros(100, dtype=np.int8), table_for(g, grid_params, rule),
+                   np.random.default_rng(5))
         counts = np.bincount(out, minlength=3)
         assert counts.tolist() == [39, 30, 31]  # frozen; near-uniform thirds
 
@@ -275,8 +301,8 @@ class TestNoisyRule:
         params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
         seed = 21
         raw = np.random.default_rng(seed).random(4)
-        out = step(g, np.zeros(2, dtype=np.int8), params,
-                   UpdateRule.main_noisy(0.5), np.random.default_rng(seed))
+        table = table_for(g, params, UpdateRule.main_noisy(0.5))
+        out = step(g, np.zeros(2, dtype=np.int8), table, np.random.default_rng(seed))
         expected = []
         tie_cursor = 2
         for u in range(2):
@@ -295,7 +321,8 @@ class TestNoisyRule:
         g = Network.from_edges(2, [(0, 1)])
         params = MainParams(e_h=0.0, rho_h=0.5, rho_d=1.0)
         draws = PresetDraws([0.1, 0.2, 0.25, 0.75])
-        out = step(g, np.zeros(2, dtype=np.int8), params, UpdateRule.main_noisy(0.5), draws)
+        table = table_for(g, params, UpdateRule.main_noisy(0.5))
+        out = step(g, np.zeros(2, dtype=np.int8), table, draws)
         assert out.tolist() == [H, D]
         with pytest.raises(ValueError, match="exhausted"):
             draws.random(1)
@@ -319,7 +346,8 @@ class TestTwoOrderDynamics:
         g = Network.from_edges(2, [(0, 1)])
         params = TwoOrderParams(alpha1=0.1, alpha2=5.0, beta1=6.0, beta2=0.5)
         config = np.array([C, C], dtype=np.int8)
-        out = step(g, config, params, UpdateRule.two_order_greedy(), np.random.default_rng(0))
+        out = step(g, config, table_for(g, params, UpdateRule.two_order_greedy()),
+                   np.random.default_rng(0))
         assert out.tolist() == [PC, PC]
 
 
@@ -365,9 +393,9 @@ def test_step_permutation_equivariance():
         g_perm = Network.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
         config_perm = np.empty(n, dtype=np.int8)
         config_perm[perm] = config
-        out = step(g, config, params, UpdateRule.main_greedy(), PresetDraws([r] * n))
-        out_perm = step(g_perm, config_perm, params, UpdateRule.main_greedy(),
-                        PresetDraws([r] * n))
+        table = table_for(g, params, UpdateRule.main_greedy())
+        out = step(g, config, table, PresetDraws([r] * n))
+        out_perm = step(g_perm, config_perm, table, PresetDraws([r] * n))
         assert np.array_equal(out_perm[perm], out)
 
 
@@ -481,9 +509,10 @@ def test_run_equals_iterated_step(graphs, rule_name, graph_name):
     run_ties = np.random.default_rng(3)
     trace = run(g, init, params, rule, run_ties, max_rounds=8, record_snapshots=True)
     ties = np.random.default_rng(3)
+    table = table_for(g, params, rule)
     config = init
     for t, snapshot in enumerate(trace.snapshots[1:], start=1):
-        config = step(g, config, params, rule, ties)
+        config = step(g, config, table, ties)
         assert np.array_equal(config, snapshot), f"round {t}"
     # both consumed the same number of draws
     assert ties.random() == run_ties.random()
@@ -515,7 +544,7 @@ def test_punishing_counts_match_python_count(graphs, graph_name):
             params = LOW_TIES[1] if rule.is_two_order else LOW_TIES[0]
             config = configs[0] if rule.is_two_order else configs[0] % 3
             values = rng.random(2 * g.vertex_count)
-            fast = step(g, config, params, rule, PresetDraws(values))
+            fast = step(g, config, table_for(g, params, rule), PresetDraws(values))
             assert fast.tolist() == reference_step(g, config, params, values, rule), rule_name
 
 
@@ -524,7 +553,7 @@ def test_punishing_counts_match_python_count(graphs, graph_name):
 def test_step_matches_reference_at_high_degree(graphs, rule_name, graph_name):
     g, rule, params, config = _case(graphs, rule_name, graph_name)
     values = np.random.default_rng(2).random(g.vertex_count)
-    fast = step(g, config, params, rule, PresetDraws(values))
+    fast = step(g, config, table_for(g, params, rule), PresetDraws(values))
     slow = reference_step(g, config, params, values, rule=rule)
     assert fast.tolist() == slow
     # vertex 0 decides a genuine tie at k = 256, where a uint8 count reads 0
@@ -549,7 +578,7 @@ def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name,
     rng = np.random.default_rng([len(rule_name), len(graph_name), len(param_set)])
     config = rng.choice(np.array(codes, dtype=np.int8), size=g.vertex_count)
     values = rng.random(2 * g.vertex_count)
-    fast = step(g, config, params, rule, PresetDraws(values))
+    fast = step(g, config, table_for(g, params, rule), PresetDraws(values))
     slow = reference_step(g, config, params, values, rule=rule)
     assert fast.tolist() == slow
     # the choice is summed from breakpoints, and ties are decided
@@ -614,16 +643,6 @@ class TestDecisionTable:
         assert table.n_min.tolist() == [1, 1, 3, 1, 1]
         assert table.tied[2].tolist() == [C, H, D]
 
-    def test_table_must_match_params_and_rule(self, triangle, grid_params):
-        table = decision_table(grid_params, UpdateRule.main_greedy(), 2)
-        config = np.zeros(3, dtype=np.int8)
-        with pytest.raises(ValueError, match="decision table"):
-            step(triangle, config, MainParams(e_h=0.2, rho_h=0.23, rho_d=0.45),
-                 UpdateRule.main_greedy(), np.random.default_rng(0), table=table)
-        with pytest.raises(ValueError, match="decision table"):
-            step(triangle, config, grid_params, UpdateRule.main_no_hypocrisy(),
-                 np.random.default_rng(0), table=table)
-
     def test_breakpoints_rebuild_choice(self):
         rng = np.random.default_rng(23)
         dyadic = [0.125, 0.25, 0.5, 1.0, 2.0]
@@ -656,8 +675,8 @@ class TestDecisionTable:
         config = np.random.default_rng(7).integers(0, 3, g.vertex_count).astype(np.int8)
         looked_up = table.choice.take(punishing_counts(g, config))
         assert (looked_up != table.choice[0]).any()
-        assert np.array_equal(step(g, config, params, rule, None, table=table), looked_up)
+        assert np.array_equal(step(g, config, table, None), looked_up)
         # a table copied without breakpoints shows that step reads them
         blank = replace(table, breakpoints=())
-        out = step(g, config, params, rule, None, table=blank)
+        out = step(g, config, blank, None)
         assert np.array_equal(out, np.full(g.vertex_count, table.choice[0]))
