@@ -7,13 +7,16 @@ taken from the per-player cost-matrix stepper, before the decision-table
 stepper replaced it; a changed digest means a changed result. The
 large-network stacks, 60x50 torus and 3,000-vertex 5-regular graph, were
 pinned from the decision-table stepper with the torus slice stencil, before
-behaviour lookups on large networks changed form.
+behaviour lookups on large networks changed form. The ``regular-ties`` sweep
+and the two-order grid, whose runs mostly repeat long before their round
+budget, were pinned from runs that stepped every round.
 
 Parameters are dyadic so that many cost comparisons are exact ties and
 the tie-breaking draw order is pinned along with the costs.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -21,10 +24,12 @@ import pytest
 
 from peerpressure import (
     MainParams,
+    Network,
     TwoOrderParams,
     UpdateRule,
     build_torus_grid,
     run,
+    sample_initial_two_order,
     sample_random_regular,
 )
 from peerpressure.cli import main
@@ -96,6 +101,12 @@ SWEEPS = {
                       "rounds": 12, "repetitions": 3, "rule": "main-noisy",
                       "p_greedy": 0.75, "master_seed": 3,
                       "fresh_network_per_repetition": True},
+    # dyadic axes: most runs repeat long before their 25 rounds, some of
+    # them first on a tied state that they later leave
+    "regular-ties": {"network": "regular", "n": 30, "degree": 4,
+                     "e_h_count": 5, "rho_h_count": 5, "rho_d": 0.5, "epsilon": 0.3,
+                     "rounds": 25, "repetitions": 3, "rule": "main-greedy",
+                     "master_seed": 4, "fresh_network_per_repetition": True},
 }
 
 SWEEP_DIGESTS = {
@@ -105,7 +116,32 @@ SWEEP_DIGESTS = {
     ("regular-noisy", "ppm"): "c67759ed958f847ddb2fac76a5d316fd48e0c7fb4493198c6aa5d0d2e0135b89",
     ("regular-fresh", "csv"): "60f132e01eedbcf2856f3d2e9efedcec226343cf92d63a1862dcaf1ac2f1bf95",
     ("regular-fresh", "ppm"): "d5e3a42512123a24e752bae1cb9fc113145b51443fc19db0bd4cf7e1c8088f63",
+    ("regular-ties", "csv"): "a266b0073797cbe4ab364576f36b10b25135a753e258fb30cb7ff25935841360",
+    ("regular-ties", "ppm"): "1e64b9e3e9df11b78e559d3d1794776d60d66f0a5347fa1b47050b3d59d40ee9",
 }
+
+# Sweeps cover main-model rules only, so the two-order greedy rule is swept
+# here over a dyadic (alpha2, beta1, beta2) grid, 25 rounds per run. Most
+# runs repeat long before the end: some at a fixed point, some in a
+# two-cycle (on K_2,3 with a different count in each round), some first on
+# a tied state that they later leave.
+TWO_ORDER_GRID_DIGEST = "0847aedd319df125651cd48e909a1a0d59153acaa7b6341375853b79038c9826"
+
+
+def two_order_grid_digest() -> str:
+    rule = UpdateRule.two_order_greedy()
+    digest = hashlib.sha256()
+    k23 = Network.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    for g in (build_torus_grid(6, 6), build_torus_grid(7, 6), k23):
+        for i, (alpha2, beta1, beta2) in enumerate(itertools.product((0.25, 0.5, 1.0), repeat=3)):
+            rng = np.random.default_rng([6, i])
+            init = sample_initial_two_order(g.vertex_count, 0.6, rng)
+            trace = run(g, init, TwoOrderParams(1.0, alpha2, beta1, beta2), rule, rng,
+                        max_rounds=25, record_snapshots=True)
+            digest.update(trace.snapshots.tobytes())
+            digest.update(trace.counts.tobytes())
+    return digest.hexdigest()
+
 
 VERIFY_DIGESTS = {
     ("reduction", None): "f9e2de7dd8545ccef6ad69cac59a972d559f2b0e91a07a6baa9f1660d045b585",
@@ -160,6 +196,10 @@ def test_sweep_outputs(name, tmp_path, capsys):
     assert main(["sweep", str(config), "--out-prefix", str(prefix)]) == 0
     for ext in ("csv", "ppm"):
         assert file_digest(f"{prefix}.{ext}") == SWEEP_DIGESTS[name, ext], ext
+
+
+def test_two_order_grid():
+    assert two_order_grid_digest() == TWO_ORDER_GRID_DIGEST
 
 
 @pytest.mark.parametrize("suite,instances", sorted(VERIFY_DIGESTS, key=str))
