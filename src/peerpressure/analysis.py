@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphMetrics, Network
-from .model import (Behavior, ConditionStatus, MainParams, TwoOrderParams,
+from .model import (MAIN_BEHAVIORS, Behavior, ConditionStatus, MainParams, TwoOrderParams,
                     classify_main_conditions, map_configuration, map_two_order_params)
 from .dynamics import RuleKind, Trace, UpdateRule, run
 
@@ -73,6 +73,9 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
     Reads only ``trace.counts``, so the run needs no snapshots. Refuses
     (raises :class:`CheckRefused`) for traces run under any other rule or
     with parameters outside the window, where the bound claims nothing.
+    ``initial`` is read as given, before any cast, as :func:`run` reads it:
+    it must be ``(n,)`` main-model codes whose behaviour counts are
+    ``trace.counts[0]``, else ``ValueError``.
     """
     if trace.rule.kind is not RuleKind.MAIN_GREEDY:
         raise CheckRefused(f"bound audit requires the greedy main rule, got {trace.rule.kind.value}")
@@ -80,7 +83,13 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
     if status is not ConditionStatus.SATISFIED:
         raise CheckRefused(f"parameters are outside the convergence window: {status.value}")
 
-    initial = np.asarray(initial, dtype=np.int8)
+    initial = np.asarray(initial)
+    if initial.shape != (trace.n,):
+        raise ValueError(f"configuration shape {initial.shape} does not match n={trace.n}")
+    # codes a cast would change (257, 1.7) match no behaviour and go uncounted
+    counts = [np.count_nonzero(initial == code) for code in MAIN_BEHAVIORS]
+    if counts != trace.counts[0].tolist():
+        raise ValueError("initial configuration does not match the trace's round 0")
     nondefector = initial != Behavior.DEFECTOR
     if metrics.bipartition is not None:
         side_a, side_b = metrics.bipartition

@@ -56,12 +56,25 @@ torus of :func:`~peerpressure.graphs.build_torus_grid` skips the gather:
 ``k`` is four shifted whole-array slice adds of its mask plus a fix-up of
 the first and last columns of the ``(height, width)`` grid, with the same
 ``uint8`` values the table gives. The stencil is about ten times faster at
-300x300; the two meet near 50x50, and below that the table wins.
+300x300; the two meet near 50x50, and below that the table wins. Tori with
+rows of 3 or 4 players keep the table up to 4,000 vertices.
+
+Rounds of a run
+---------------
+:func:`run` counts the draws that :func:`step` takes from its draw source.
+Under a greedy rule a step that takes none is a function of its
+configuration alone, so once a run without early stop repeats the
+configuration of two rounds back, with no draw in the two steps that led
+there (:func:`is_settled`), every later round is known: ``run`` fills the
+remaining rows with the alternating pair, leaves the draw source
+untouched, and steps no further. Stepped rows are counted with one
+whole-array pass for the non-defectors and one per code from 2 up; repeat
+tests compare count rows before configurations.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -153,7 +166,9 @@ class Trace:
     two-order runs) after round ``t``; row 0 is the initial configuration.
     ``rounds`` and ``round_reached`` are read from ``counts`` and
     ``termination``. ``snapshots``, when recorded, is one C-contiguous int8
-    ``(rounds + 1, n)`` array, row for row with ``counts``.
+    ``(rounds + 1, n)`` array, row for row with ``counts``. Rows after a
+    run settled (see :func:`run`) were filled, not stepped, and equal the
+    rows stepping gives.
     """
 
     counts: np.ndarray
@@ -180,17 +195,25 @@ class Trace:
         return self.rounds - lag
 
 
-# Plain ints: comparing an array with an IntEnum member is several times slower.
-_HYPOCRITICAL = int(Behavior.HYPOCRITICAL)
-_COOPERATOR = int(Behavior.COOPERATOR)
-
-
 # Tori below this many vertices keep the table gather, which is faster
 # there. Per call, mask included, table against stencil on a 2-core x86-64
 # VM with numpy 2.4: 11-18 against 14-22 us at 40x40, 16-23 against
 # 14-21 us at 50x50, 24-26 against 15-22 us at 64x64, and 400-550 against
 # 50-56 us at 300x300.
 _STENCIL_MIN_VERTICES = 2500
+# Rows of fewer than _NARROW_ROW players leave the stencil's strided column
+# fix-ups, which visit every row, most of its work, so such tori keep the
+# table below _NARROW_STENCIL_MIN_VERTICES. Timeit per call without the
+# mask, min/median of five medians, table against stencil, same machine:
+# 10.3/16.5 against 12.0/20.9 us at 3x834, 12.0/19.0 against 12.3/20.5 us
+# at 3x1000, 17.0/18.6 against 19.4/21.0 us at 4x625; 23.3/26.4 against
+# 20.6/24.1 us at 3x1334, 23.7/28.1 against 15.5/23.0 us at 4x1000 and
+# 28.0/32.8 against 22.4/25.4 us at 3x1667. Long rows cost nothing extra:
+# 18.7/20.7 against 16.8/18.2 us at 1000x3. A gate on the row length alone
+# would be wrong, since thin tori gain with size like any other: 558
+# against 136 us at 3x30000.
+_NARROW_ROW = 5
+_NARROW_STENCIL_MIN_VERTICES = 4000
 
 
 def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
@@ -200,7 +223,9 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     do not; in the main model this is exactly the non-defector neighbour
     count. A network of at least ``_STENCIL_MIN_VERTICES`` vertices whose
     :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
-    counts with slices over the row-major grid (:func:`_torus_counts`).
+    counts with slices over the row-major grid (:func:`_torus_counts`),
+    unless its rows are narrower than ``_NARROW_ROW`` and it has fewer than
+    ``_NARROW_STENCIL_MIN_VERTICES`` vertices.
     Otherwise, when every vertex has degree ``d``, the mask is gathered
     through the network's ``(d, n)``
     :meth:`~peerpressure.graphs.Network.neighbor_table` and its ``d``
@@ -209,11 +234,14 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     networks count by symmetry, as an int64 ``bincount`` of the punishing
     vertices' neighbour lists.
     """
-    mask = (config == _HYPOCRITICAL) | (config == _COOPERATOR)
+    # hypocrites (1) and cooperators (2) are the codes that wrap to 0 and 1
+    # when 1 is subtracted from their unsigned bytes
+    mask = (np.asarray(config, dtype=np.int8).view(np.uint8) - 1) <= 1
     d = network.regular_degree
-    if d == 4 and network.vertex_count >= _STENCIL_MIN_VERTICES:
+    n = network.vertex_count
+    if d == 4 and n >= _STENCIL_MIN_VERTICES:
         shape = network.torus_shape()
-        if shape is not None:
+        if shape is not None and (shape[0] >= _NARROW_ROW or n >= _NARROW_STENCIL_MIN_VERTICES):
             return _torus_counts(mask.view(np.uint8), *shape)
     if d is not None:
         return np.add.reduce(mask.view(np.uint8).take(network.neighbor_table()),
@@ -256,7 +284,8 @@ class DecisionTable:
     ``breakpoints`` lists ``(j, delta)`` for every ``k = j`` where the
     choice changes, ``delta = choice[j] - choice[j - 1]`` (negative where
     codes go down), so ``choice[k]`` is ``choice[0]`` plus the ``delta`` of
-    every ``j <= k``.
+    every ``j <= k``. The arrays are read-only: runs with equal parameters,
+    rule and maximum degree share one table.
     """
 
     params: MainParams | TwoOrderParams
@@ -269,13 +298,15 @@ class DecisionTable:
     breakpoints: tuple[tuple[int, int], ...]
 
 
+@functools.lru_cache(maxsize=1)
 def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
     """Tabulate the best responses for punishing counts ``0..max_count``.
 
     The cost rows are :func:`~peerpressure.model.cost_main` or
     :func:`~peerpressure.model.cost_two_order` evaluated over the array of
     counts, one row per available behaviour in preference order, so table
-    lookups reproduce the model's exact float costs and ties.
+    lookups reproduce the model's exact float costs and ties. The last
+    table is kept: the repetitions of a sweep cell share their parameters.
     """
     rule.check_params(params)
     cost = cost_two_order if rule.is_two_order else cost_main
@@ -293,8 +324,11 @@ def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
     by_k = choice.tolist()
     breakpoints = tuple((j, by_k[j] - by_k[j - 1])
                         for j in range(1, len(by_k)) if by_k[j] != by_k[j - 1])
-    return DecisionTable(params=params, rule=rule, codes=codes, choice=choice,
-                         n_min=n_min, is_tied=n_min > 1, tied=tied, breakpoints=breakpoints)
+    arrays = {"codes": codes, "choice": choice, "n_min": n_min, "is_tied": n_min > 1,
+              "tied": tied}
+    for array in arrays.values():
+        array.flags.writeable = False
+    return DecisionTable(params=params, rule=rule, breakpoints=breakpoints, **arrays)
 
 
 def _interval_pick(r: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -318,19 +352,33 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
     call takes a tie draw per tied player in ascending index. The
     first-preference choice is summed from ``table.breakpoints``.
 
-    ``step`` trusts its input: ``config`` must hold valid codes for the
-    table's rule, and ``table`` must cover the network's maximum degree.
+    ``step`` takes uniforms from ``ties`` only through ``random`` calls,
+    and under a greedy rule only when some player's count is tied, so the
+    uniforms handed out are its tie draws: :func:`run` counts them to tell
+    a round that drew from one that did not.
+
+    ``step`` trusts its input: ``config`` must be an int8 array of valid
+    codes for the table's rule, and ``table`` must cover the network's
+    maximum degree.
     """
     rule = table.rule
     noisy = rule.kind is RuleKind.MAIN_NOISY
     n = network.vertex_count
     k = punishing_counts(network, config)
-    out = np.full(n, table.choice[0], dtype=np.int8)
+    # the first breakpoint's jumps become the output, so no pass fills it
+    out = None
     for j, delta in table.breakpoints:
         jumped = (k >= j).view(np.int8)
         if delta != 1:
             jumped *= delta
-        out += jumped
+        if out is None:
+            out = jumped
+        else:
+            out += jumped
+    if out is None:
+        out = np.zeros(n, dtype=np.int8)
+    if table.choice[0]:
+        out += table.choice[0]
 
     if noisy:
         noise = ties.random(n)
@@ -358,6 +406,51 @@ def _behaviour_counts(config: np.ndarray, width: int) -> list[int]:
     return [np.count_nonzero(config == code) for code in range(width)]
 
 
+def _stepped_counts(config: np.ndarray, width: int) -> list[int]:
+    """``_behaviour_counts`` of a configuration that ``step`` made, so of
+    valid codes only: one pass counts the non-defectors, one pass per code
+    from 2 up, and the hypocrites are what is left."""
+    nonzero = np.count_nonzero(config)
+    higher = [np.count_nonzero(config == code) for code in range(2, width)]
+    return [config.size - nonzero, nonzero - sum(higher), *higher]
+
+
+def _repeats(a: np.ndarray, a_counts: list[int], b: np.ndarray, b_counts: list[int]) -> bool:
+    # equal configurations have equal counts, so most unequal pairs are
+    # told apart without a pass over the arrays
+    return a_counts == b_counts and np.array_equal(a, b)
+
+
+def is_settled(rule: UpdateRule, prev: np.ndarray, prev_counts: list[int],
+               nxt: np.ndarray, nxt_counts: list[int], draws: int) -> bool:
+    """Will a run alternate between its last two configurations for good?
+
+    ``prev``, ``config`` and ``nxt`` are the last three configurations of a
+    run and ``draws`` is the number of uniforms taken by the two steps that
+    made ``config`` and ``nxt``. Under a greedy rule a step that draws
+    nothing is a function of its configuration alone, so when ``nxt``
+    equals ``prev`` every later round repeats ``config``, ``nxt``,
+    ``config``, ... and draws nothing. The noisy rule draws every round and
+    never settles.
+    """
+    return (rule.kind is not RuleKind.MAIN_NOISY and draws == 0
+            and _repeats(nxt, nxt_counts, prev, prev_counts))
+
+
+class _CountedDraws:
+    """A run's draw source, counting the uniforms that ``step`` takes."""
+
+    __slots__ = ("_ties", "used")
+
+    def __init__(self, ties):
+        self._ties = ties
+        self.used = 0
+
+    def random(self, size: int) -> np.ndarray:
+        self.used += size
+        return self._ties.random(size)
+
+
 def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         max_rounds: int, early_stop: bool = False,
         record_snapshots: bool = False) -> Trace:
@@ -372,8 +465,13 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
     With ``early_stop`` the run halts as soon as the latest configuration
     repeats the previous one (fixed point) or the one before that
     (two-cycle); otherwise exactly ``max_rounds`` rounds are simulated,
-    which keeps round counts comparable across runs. Snapshots are stacked
-    once, on return.
+    which keeps round counts comparable across runs. Without ``early_stop``
+    a run that has settled (:func:`is_settled`: a greedy rule, a repeat of
+    the configuration two rounds back, and no tie draw in the two steps
+    that made it) stops stepping: the remaining rows of ``counts``, and of
+    the snapshots, are filled with the alternating pair, exactly the rows
+    stepping would give, and ``ties`` is left where stepping would leave
+    it, untouched. Snapshots are stacked once, on return.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
@@ -392,22 +490,34 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         raise ValueError(f"behaviour codes out of range for rule {rule.kind.value}")
     config = initial.astype(np.int8)
     snapshots = [config] if record_snapshots else None
+    draws = _CountedDraws(ties)
     prev = None
+    last_draws = 0  # taken by the step that made config
     termination = Termination.MAX_ROUNDS
-    for _ in range(max_rounds):
-        nxt = step(network, config, table, ties)
-        counts.append(_behaviour_counts(nxt, width))
+    for t in range(max_rounds):
+        used = draws.used
+        nxt = step(network, config, table, draws)
+        new_draws = draws.used - used
+        counts.append(_stepped_counts(nxt, width))
         if record_snapshots:
             snapshots.append(nxt)
         if early_stop:
-            if np.array_equal(nxt, config):
+            if _repeats(nxt, counts[-1], config, counts[-2]):
                 termination = Termination.FIXED_POINT
                 break
-            if prev is not None and np.array_equal(nxt, prev):
+            if prev is not None and _repeats(nxt, counts[-1], prev, counts[-3]):
                 termination = Termination.TWO_CYCLE
                 break
-        prev = config
-        config = nxt
+        elif prev is not None and is_settled(rule, prev, counts[-3], nxt, counts[-1],
+                                             last_draws + new_draws):
+            # rounds t + 2, t + 3, ... repeat config, nxt, config, ...
+            rest = max_rounds - 1 - t
+            pairs = (rest + 1) // 2
+            counts += (counts[-2:] * pairs)[:rest]
+            if record_snapshots:
+                snapshots += ([config, nxt] * pairs)[:rest]
+            break
+        prev, config, last_draws = config, nxt, new_draws
     return Trace(counts=np.array(counts, dtype=np.int64), termination=termination,
                  rule=rule, params=params,
                  snapshots=None if snapshots is None else np.stack(snapshots))
@@ -421,12 +531,9 @@ _COLUMNS = ("defectors", "hypocritical", "cooperators", "private_cooperators")
 
 
 def format_trace_csv(trace: Trace) -> str:
-    width = trace.counts.shape[1]
-    buf = io.StringIO()
-    buf.write("round," + ",".join(_COLUMNS[:width]) + "\n")
-    for t, row in enumerate(trace.counts):
-        buf.write(f"{t}," + ",".join(str(int(x)) for x in row) + "\n")
-    return buf.getvalue()
+    lines = ["round," + ",".join(_COLUMNS[:trace.counts.shape[1]])]
+    lines += [f"{t}," + ",".join(map(str, row)) for t, row in enumerate(trace.counts.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

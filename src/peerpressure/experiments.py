@@ -33,7 +33,16 @@ from .dynamics import RuleKind, Trace, UpdateRule, run
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """How to obtain a network: a torus grid or a random regular graph."""
+    """How to obtain a network: a torus grid or a random regular graph.
+
+    A ``regular`` spec builds through
+    :func:`~peerpressure.graphs.sample_random_regular`, which discards
+    vertices left short of ``degree``, so a network may have fewer than
+    ``n`` vertices: ``n=24, degree=4`` gives 22 or 23 for some seeds. The
+    count depends on the seed, so with ``fresh_network_per_repetition`` the
+    repetitions of one sweep cell may differ in size; fractions are taken
+    per network.
+    """
 
     kind: str
     width: int = 0

@@ -191,9 +191,9 @@ def sample_initial_main(n: int, epsilon: float, rng: np.random.Generator) -> np.
     """
     check_epsilon(epsilon)
     u = rng.random(n)
-    config = np.zeros(n, dtype=np.int8)
-    config[u >= 1.0 - epsilon] = Behavior.HYPOCRITICAL
-    config[u >= 1.0 - epsilon / 2.0] = Behavior.COOPERATOR
+    # each threshold passed adds one: 0, then hypocrite (1), then cooperator (2)
+    config = (u >= 1.0 - epsilon).view(np.int8)
+    config += u >= 1.0 - epsilon / 2.0
     return config
 
 
@@ -205,10 +205,13 @@ def sample_initial_two_order(n: int, epsilon: float, rng: np.random.Generator) -
     """
     check_epsilon(epsilon)
     u = rng.random(n)
-    config = np.zeros(n, dtype=np.int8)
-    config[u >= 1.0 - epsilon] = Behavior.COOPERATOR
-    config[u >= 1.0 - 2.0 * epsilon / 3.0] = Behavior.HYPOCRITICAL
-    config[u >= 1.0 - epsilon / 3.0] = Behavior.PRIVATE_COOPERATOR
+    # thresholds passed step the code 0 -> 2 -> 1 -> 3
+    config = (u >= 1.0 - epsilon).view(np.int8)
+    config += config
+    config -= u >= 1.0 - 2.0 * epsilon / 3.0
+    private = (u >= 1.0 - epsilon / 3.0).view(np.int8)
+    config += private
+    config += private
     return config
 
 
@@ -216,8 +219,8 @@ def sample_initial_binary(n: int, epsilon: float, rng: np.random.Generator) -> n
     """Defector w.p. 1-epsilon, cooperator otherwise (no hypocrites)."""
     check_epsilon(epsilon)
     u = rng.random(n)
-    config = np.zeros(n, dtype=np.int8)
-    config[u >= 1.0 - epsilon] = Behavior.COOPERATOR
+    config = (u >= 1.0 - epsilon).view(np.int8)
+    config += config  # cooperator (2)
     return config
 
 

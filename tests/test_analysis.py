@@ -203,6 +203,25 @@ class TestBoundAudit:
         assert audit.satisfied
         assert audit.converged_round <= metrics.diameter + 1
 
+    @pytest.mark.parametrize("code", [257, 256, 1.5])
+    def test_reads_codes_before_the_cast(self, code):
+        # an int8 cast read 257 at vertex 0 as a hypocrite, which seeded the
+        # second side of the bipartite torus and made the bound apply, and
+        # 256 as a defector
+        torus = build_torus_grid(4, 4)
+        metrics = compute_metrics(torus)
+        init = np.zeros(16, dtype=np.int64)
+        init[1] = H
+        trace = run(torus, init, MainParams(0.1, 0.23, 0.45), UpdateRule.main_greedy(),
+                    np.random.default_rng(0), max_rounds=4)
+        assert not audit_convergence_bound(metrics, trace, init).bound_applicable
+        tampered = init.astype(type(code))
+        tampered[0] = code
+        with pytest.raises(ValueError, match="round 0"):
+            audit_convergence_bound(metrics, trace, tampered)
+        with pytest.raises(ValueError, match="shape"):
+            audit_convergence_bound(metrics, trace, init[:-1])
+
     def test_non_bipartite_bound(self, torus5):
         metrics = compute_metrics(torus5)
         params = MainParams(e_h=0.1, rho_h=0.3, rho_d=0.6)  # window for degree 4

@@ -24,6 +24,8 @@ from peerpressure import (
     write_trace_csv,
 )
 
+from peerpressure import dynamics
+
 from conftest import table_for
 
 D, H, C, PC = 0, 1, 2, 3
@@ -466,9 +468,11 @@ def graphs():
         "torus7x5": build_torus_grid(7, 5),
         "edge": Network.from_edges(2, [(0, 1)]),
         "single": Network.from_edges(1, []),  # d = 0, a (0, 1) table
-        # tori above the stencil gate, square-ish and thin both ways
+        # tori above the stencil gate, square-ish and thin both ways; rows
+        # of 3 keep the table, rows of 4 at 4,000 vertices take the stencil
         "torus60x50": build_torus_grid(60, 50),
         "torus3x1000": build_torus_grid(3, 1000),
+        "torus4x1000": build_torus_grid(4, 1000),
         "torus1000x3": build_torus_grid(1000, 3),
         # near-tori, which must not be taken for the row-major torus
         "relabelled": _relabelled(build_torus_grid(60, 50), 11),
@@ -480,8 +484,8 @@ def graphs():
 
 HIGH_DEGREE = ("wheel", "complete")
 ALL_GRAPHS = ["torus", "regular", "gnp", "wheel", "complete", "torus7x5", "edge", "single",
-              "torus60x50", "torus3x1000", "torus1000x3", "relabelled", "switched",
-              "regular3000"]
+              "torus60x50", "torus3x1000", "torus4x1000", "torus1000x3", "relabelled",
+              "switched", "regular3000"]
 
 
 def _case(graphs, rule_name, graph_name):
@@ -502,20 +506,103 @@ def _python_counts(g, config):
             for u in range(g.vertex_count)]
 
 
-@pytest.mark.parametrize("graph_name", ALL_GRAPHS)
-@pytest.mark.parametrize("rule_name", sorted(RULES))
-def test_run_equals_iterated_step(graphs, rule_name, graph_name):
-    g, rule, params, init = _case(graphs, rule_name, graph_name)
-    run_ties = np.random.default_rng(3)
-    trace = run(g, init, params, rule, run_ties, max_rounds=8, record_snapshots=True)
-    ties = np.random.default_rng(3)
+def _assert_run_equals_iterated_step(monkeypatch, g, init, params, rule, seed, rounds):
+    """Run against ``rounds`` iterated steps from the same draws: the same
+    snapshots, counts and draw-source position. Returns the steps run took."""
+    steps = []
+
+    def counted_step(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "step", counted_step)
+    run_ties = np.random.default_rng(seed)
+    trace = run(g, init, params, rule, run_ties, max_rounds=rounds, record_snapshots=True)
+    monkeypatch.undo()
+    assert trace.snapshots.shape == (rounds + 1, g.vertex_count)
+    ties = np.random.default_rng(seed)
     table = table_for(g, params, rule)
     config = init
     for t, snapshot in enumerate(trace.snapshots[1:], start=1):
         config = step(g, config, table, ties)
         assert np.array_equal(config, snapshot), f"round {t}"
+        counts = np.bincount(config, minlength=trace.counts.shape[1])
+        assert trace.counts[t].tolist() == counts.tolist(), f"round {t}"
     # both consumed the same number of draws
     assert ties.random() == run_ties.random()
+    return len(steps)
+
+
+@pytest.mark.parametrize("graph_name", ALL_GRAPHS)
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+def test_run_equals_iterated_step(monkeypatch, graphs, rule_name, graph_name):
+    g, rule, params, init = _case(graphs, rule_name, graph_name)
+    _assert_run_equals_iterated_step(monkeypatch, g, init, params, rule, 3, rounds=8)
+
+
+def _settling_case(name):
+    """A greedy run on a small network that repeats the configuration of two
+    rounds back within ten rounds; the tie draws and the initial
+    configuration come from one seed."""
+    torus, k23 = build_torus_grid(6, 6), Network.from_edges(5, [(a, b) for a in (0, 1)
+                                                                for b in (2, 3, 4)])
+    greedy = UpdateRule.main_greedy()
+    g, params, rule, seed = {
+        # no tie draw at the repeat: a fixed point from round 5
+        "fixed-point": (torus, LOW_TIES[0], greedy, 0),
+        # no tie draw at the repeat: two configurations with equal counts
+        "two-cycle": (torus, LOW_TIES[0], greedy, 2),
+        # no tie draw at the repeat: counts [3, 2, 0] and [2, 3, 0]
+        "two-cycle-counts": (k23, GENERIC[0], greedy, 3),
+        # round 6 repeats round 4, but a tied player draws and leaves the cycle
+        "tied-repeat": (torus, LOW_TIES[0], greedy, 14),
+        # fully greedy noise: round 5 repeats round 3, but noise draws go on
+        "noisy": (torus, LOW_TIES[0], UpdateRule.main_noisy(1.0), 0),
+    }[name]
+    rng = np.random.default_rng(seed)
+    p = None if g is k23 else [0.5, 0.25, 0.25]
+    init = rng.choice(np.array([D, H, C], dtype=np.int8), size=g.vertex_count, p=p)
+    return g, init, params, rule, seed
+
+
+@pytest.mark.parametrize("rounds", [20, 21])
+@pytest.mark.parametrize("name", ["fixed-point", "two-cycle", "two-cycle-counts",
+                                  "tied-repeat", "noisy"])
+def test_run_equals_iterated_step_after_a_repeat(monkeypatch, name, rounds):
+    g, init, params, rule, seed = _settling_case(name)
+    steps = _assert_run_equals_iterated_step(monkeypatch, g, init, params, rule, seed, rounds)
+    trace = run(g, init, params, rule, np.random.default_rng(seed), rounds,
+                record_snapshots=True)
+    snapshots = trace.snapshots
+    first_repeat = next(t for t in range(2, rounds + 1)
+                        if np.array_equal(snapshots[t], snapshots[t - 2]))
+    assert first_repeat <= 10
+    if name in ("tied-repeat", "noisy"):
+        # a fill from the first repeat would be wrong or skip draws
+        assert steps > first_repeat
+    else:
+        # run stops stepping at the first repeat and fills the rest
+        assert steps == first_repeat
+    if name == "tied-repeat":
+        assert not np.array_equal(snapshots[-1],
+                                  snapshots[first_repeat - (rounds - first_repeat) % 2])
+    if name.startswith("two-cycle"):
+        assert not np.array_equal(snapshots[-1], snapshots[-2])
+    if name == "two-cycle-counts":
+        assert trace.counts[-1].tolist() != trace.counts[-2].tolist()
+
+
+def test_is_settled():
+    a = np.array([D, H, C, C], dtype=np.int8)
+    b = np.array([C, H, C, D], dtype=np.int8)  # same counts as a
+    counts = [1, 1, 2]
+    greedy = UpdateRule.main_greedy()
+    assert dynamics.is_settled(greedy, a, counts, a.copy(), counts, 0)
+    assert not dynamics.is_settled(greedy, a, counts, b, counts, 0)
+    assert not dynamics.is_settled(greedy, a, counts, a.copy(), counts, 1)
+    assert not dynamics.is_settled(UpdateRule.main_noisy(1.0), a, counts, a.copy(), counts, 0)
+    # counts are compared first: different counts never reach the arrays
+    assert not dynamics.is_settled(greedy, a, counts, a.copy(), [0, 2, 2], 0)
 
 
 # Irregular and disconnected, so counted and stepped only below: run refuses them.
@@ -627,6 +714,15 @@ class TestNeighborTable:
             assert g.torus_shape() == shape, name
             assert (g._table is None) == (shape is not None), name
 
+    @pytest.mark.parametrize("width, height, stencil", [
+        (3, 1000, False), (4, 999, False), (4, 1000, True), (5, 500, True), (1000, 3, True)])
+    def test_narrow_rows_need_more_vertices(self, width, height, stencil):
+        g = build_torus_grid(width, height)
+        config = np.random.default_rng(9).integers(0, 4, size=g.vertex_count).astype(np.int8)
+        assert punishing_counts(g, config).tolist() == _python_counts(g, config)
+        assert g.torus_shape() == (width, height)
+        assert (g._table is None) == stencil
+
     def test_irregular_network_has_none(self, path3, grid_params):
         init = np.full(3, C, dtype=np.int8)
         run(path3, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
@@ -642,6 +738,15 @@ class TestDecisionTable:
         assert table.choice.tolist()[:3] == [D, D, C]
         assert table.n_min.tolist() == [1, 1, 3, 1, 1]
         assert table.tied[2].tolist() == [C, H, D]
+
+    def test_last_table_is_shared_and_read_only(self):
+        rule = UpdateRule.main_greedy()
+        table = decision_table(MainParams(0.5, 0.25, 0.5), rule, 4)
+        assert decision_table(MainParams(0.5, 0.25, 0.5), rule, 4) is table
+        assert decision_table(MainParams(0.5, 0.25, 0.5), rule, 5) is not table
+        for array in (table.codes, table.choice, table.n_min, table.is_tied, table.tied):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_breakpoints_rebuild_choice(self):
         rng = np.random.default_rng(23)
