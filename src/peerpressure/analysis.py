@@ -17,7 +17,7 @@ import numpy as np
 from .graphs import GraphMetrics, Network
 from .model import (MAIN_BEHAVIORS, Behavior, ConditionStatus, MainParams, TwoOrderParams,
                     classify_main_conditions, map_configuration, map_two_order_params)
-from .dynamics import RuleKind, Trace, UpdateRule, run
+from .dynamics import RuleKind, Trace, UpdateRule, behaviour_counts, run
 
 
 class CheckRefused(ValueError):
@@ -86,9 +86,7 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
     initial = np.asarray(initial)
     if initial.shape != (trace.n,):
         raise ValueError(f"configuration shape {initial.shape} does not match n={trace.n}")
-    # codes a cast would change (257, 1.7) match no behaviour and go uncounted
-    counts = [np.count_nonzero(initial == code) for code in MAIN_BEHAVIORS]
-    if counts != trace.counts[0].tolist():
+    if behaviour_counts(initial, len(MAIN_BEHAVIORS)) != trace.counts[0].tolist():
         raise ValueError("initial configuration does not match the trace's round 0")
     nondefector = initial != Behavior.DEFECTOR
     if metrics.bipartition is not None:

@@ -401,13 +401,15 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
     return out
 
 
-def _behaviour_counts(config: np.ndarray, width: int) -> list[int]:
+def behaviour_counts(config: np.ndarray, width: int) -> list[int]:
+    """Players of each code ``0..width - 1`` in ``config``, read as given:
+    a code that is not exactly one of them (257, 1.5) goes uncounted."""
     # count_nonzero per code avoids the int8 -> intp cast that bincount makes
     return [np.count_nonzero(config == code) for code in range(width)]
 
 
 def _stepped_counts(config: np.ndarray, width: int) -> list[int]:
-    """``_behaviour_counts`` of a configuration that ``step`` made, so of
+    """``behaviour_counts`` of a configuration that ``step`` made, so of
     valid codes only: one pass counts the non-defectors, one pass per code
     from 2 up, and the hypocrites are what is left."""
     nonzero = np.count_nonzero(config)
@@ -485,7 +487,7 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
     if initial.shape != (n,):
         raise ValueError(f"configuration shape {initial.shape} does not match n={n}")
     width = 4 if rule.is_two_order else 3
-    counts = [_behaviour_counts(initial, width)]
+    counts = [behaviour_counts(initial, width)]
     if sum(counts[0][code] for code in rule.available) != n:
         raise ValueError(f"behaviour codes out of range for rule {rule.kind.value}")
     config = initial.astype(np.int8)

@@ -700,28 +700,25 @@ class TestNeighborTable:
 
         write_edge_list(graphs["torus60x50"], str(tmp_path / "torus.edges"))
         cases = {
-            "torus60x50": (graphs["torus60x50"], (60, 50)),
-            "read back": (read_edge_list(str(tmp_path / "torus.edges")), (60, 50)),
+            "torus60x50": (graphs["torus60x50"], (60, 50), True),
+            "read back": (read_edge_list(str(tmp_path / "torus.edges")), (60, 50), True),
             # the README simulate torus sits exactly at the gate
-            "50x50": (build_torus_grid(50, 50), (50, 50)),
-            "relabelled": (graphs["relabelled"], None),
-            "switched": (graphs["switched"], None),
+            "50x50": (build_torus_grid(50, 50), (50, 50), True),
+            "relabelled": (graphs["relabelled"], None, False),
+            "switched": (graphs["switched"], None, False),
+            # rows of fewer than 5 players need 4,000 vertices; long rows do not
+            "3x1000": (build_torus_grid(3, 1000), (3, 1000), False),
+            "4x999": (build_torus_grid(4, 999), (4, 999), False),
+            "4x1000": (build_torus_grid(4, 1000), (4, 1000), True),
+            "5x500": (build_torus_grid(5, 500), (5, 500), True),
+            "1000x3": (build_torus_grid(1000, 3), (1000, 3), True),
         }
-        for name, (g, shape) in cases.items():
+        for name, (g, shape, stencil) in cases.items():
             assert g.regular_degree == 4, name
             init = np.full(g.vertex_count, C, dtype=np.int8)
             run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
             assert g.torus_shape() == shape, name
-            assert (g._table is None) == (shape is not None), name
-
-    @pytest.mark.parametrize("width, height, stencil", [
-        (3, 1000, False), (4, 999, False), (4, 1000, True), (5, 500, True), (1000, 3, True)])
-    def test_narrow_rows_need_more_vertices(self, width, height, stencil):
-        g = build_torus_grid(width, height)
-        config = np.random.default_rng(9).integers(0, 4, size=g.vertex_count).astype(np.int8)
-        assert punishing_counts(g, config).tolist() == _python_counts(g, config)
-        assert g.torus_shape() == (width, height)
-        assert (g._table is None) == stencil
+            assert (g._table is None) == stencil, name
 
     def test_irregular_network_has_none(self, path3, grid_params):
         init = np.full(3, C, dtype=np.int8)
