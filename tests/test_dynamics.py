@@ -508,7 +508,8 @@ def _python_counts(g, config):
 
 def _assert_run_equals_iterated_step(monkeypatch, g, init, params, rule, seed, rounds):
     """Run against ``rounds`` iterated steps from the same draws: the same
-    snapshots, counts and draw-source position. Returns the steps run took."""
+    snapshots, counts and draw-source position. Returns the trace and the
+    number of steps run took."""
     steps = []
 
     def counted_step(*args):
@@ -530,7 +531,7 @@ def _assert_run_equals_iterated_step(monkeypatch, g, init, params, rule, seed, r
         assert trace.counts[t].tolist() == counts.tolist(), f"round {t}"
     # both consumed the same number of draws
     assert ties.random() == run_ties.random()
-    return len(steps)
+    return trace, len(steps)
 
 
 @pytest.mark.parametrize("graph_name", ALL_GRAPHS)
@@ -541,9 +542,9 @@ def test_run_equals_iterated_step(monkeypatch, graphs, rule_name, graph_name):
 
 
 def _settling_case(name):
-    """A greedy run on a small network that repeats the configuration of two
-    rounds back within ten rounds; the tie draws and the initial
-    configuration come from one seed."""
+    """A run on a small network that repeats the configuration of two rounds
+    back within ten rounds; the draws and the initial configuration come
+    from one seed."""
     torus, k23 = build_torus_grid(6, 6), Network.from_edges(5, [(a, b) for a in (0, 1)
                                                                 for b in (2, 3, 4)])
     greedy = UpdateRule.main_greedy()
@@ -570,9 +571,8 @@ def _settling_case(name):
                                   "tied-repeat", "noisy"])
 def test_run_equals_iterated_step_after_a_repeat(monkeypatch, name, rounds):
     g, init, params, rule, seed = _settling_case(name)
-    steps = _assert_run_equals_iterated_step(monkeypatch, g, init, params, rule, seed, rounds)
-    trace = run(g, init, params, rule, np.random.default_rng(seed), rounds,
-                record_snapshots=True)
+    trace, steps = _assert_run_equals_iterated_step(monkeypatch, g, init, params, rule, seed,
+                                                    rounds)
     snapshots = trace.snapshots
     first_repeat = next(t for t in range(2, rounds + 1)
                         if np.array_equal(snapshots[t], snapshots[t - 2]))
