@@ -56,20 +56,22 @@ torus of :func:`~peerpressure.graphs.build_torus_grid` skips the gather:
 ``k`` is four shifted whole-array slice adds of its mask plus a fix-up of
 the first and last columns of the ``(height, width)`` grid, with the same
 ``uint8`` values the table gives. The stencil is about ten times faster at
-300x300; the two meet near 50x50, and below that the table wins. Tori with
-rows of 3 or 4 players keep the table up to 4,000 vertices.
+300x300; the two meet near 50x50, and below that the table wins.
 
 Rounds of a run
 ---------------
 :func:`run` counts the draws that :func:`step` takes from its draw source.
 Under a greedy rule a step that takes none is a function of its
-configuration alone, so once a run without early stop repeats the
-configuration of two rounds back, with no draw in the two steps that led
-there (:func:`is_settled`), every later round is known: ``run`` fills the
-remaining rows with the alternating pair, leaves the draw source
-untouched, and steps no further. Stepped rows are counted with one
-whole-array pass for the non-defectors and one per code from 2 up; repeat
-tests compare count rows before configurations.
+configuration alone. So once a run repeats the previous configuration
+with no draw in the step that made it (a fixed point), or the
+configuration of two rounds back with no draw in the two steps that led
+there (a two-cycle), every later round is known (:func:`is_settled`).
+This one test ends every run that settles: with early stop ``run`` stops
+there, and without it ``run`` fills the remaining rows with the repeated
+configurations, leaves the draw source untouched, and steps no further.
+The noisy rule draws every round and never settles. Stepped rows are
+counted with one whole-array pass for the non-defectors and one per code
+from 2 up; repeat tests compare count rows before configurations.
 """
 
 from __future__ import annotations
@@ -188,9 +190,11 @@ class Trace:
 
     @property
     def round_reached(self) -> int:
-        """The first round of the detected repeat for early-stopped runs (one
-        before the last round for a fixed point, two before it for a
-        two-cycle), and the last simulated round otherwise."""
+        """For an early-stopped run, the first round of the settled repeat:
+        the run stays at that round's configuration (fixed point, one round
+        before the last) or alternates between it and the next (two-cycle,
+        two rounds before the last) for good. Otherwise the last simulated
+        round."""
         lag = {Termination.FIXED_POINT: 1, Termination.TWO_CYCLE: 2}.get(self.termination, 0)
         return self.rounds - lag
 
@@ -201,19 +205,6 @@ class Trace:
 # 14-21 us at 50x50, 24-26 against 15-22 us at 64x64, and 400-550 against
 # 50-56 us at 300x300.
 _STENCIL_MIN_VERTICES = 2500
-# Rows of fewer than _NARROW_ROW players leave the stencil's strided column
-# fix-ups, which visit every row, most of its work, so such tori keep the
-# table below _NARROW_STENCIL_MIN_VERTICES. Timeit per call without the
-# mask, min/median of five medians, table against stencil, same machine:
-# 10.3/16.5 against 12.0/20.9 us at 3x834, 12.0/19.0 against 12.3/20.5 us
-# at 3x1000, 17.0/18.6 against 19.4/21.0 us at 4x625; 23.3/26.4 against
-# 20.6/24.1 us at 3x1334, 23.7/28.1 against 15.5/23.0 us at 4x1000 and
-# 28.0/32.8 against 22.4/25.4 us at 3x1667. Long rows cost nothing extra:
-# 18.7/20.7 against 16.8/18.2 us at 1000x3. A gate on the row length alone
-# would be wrong, since thin tori gain with size like any other: 558
-# against 136 us at 3x30000.
-_NARROW_ROW = 5
-_NARROW_STENCIL_MIN_VERTICES = 4000
 
 
 def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
@@ -223,9 +214,7 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     do not; in the main model this is exactly the non-defector neighbour
     count. A network of at least ``_STENCIL_MIN_VERTICES`` vertices whose
     :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
-    counts with slices over the row-major grid (:func:`_torus_counts`),
-    unless its rows are narrower than ``_NARROW_ROW`` and it has fewer than
-    ``_NARROW_STENCIL_MIN_VERTICES`` vertices.
+    counts with slices over the row-major grid (:func:`_torus_counts`).
     Otherwise, when every vertex has degree ``d``, the mask is gathered
     through the network's ``(d, n)``
     :meth:`~peerpressure.graphs.Network.neighbor_table` and its ``d``
@@ -241,7 +230,7 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     n = network.vertex_count
     if d == 4 and n >= _STENCIL_MIN_VERTICES:
         shape = network.torus_shape()
-        if shape is not None and (shape[0] >= _NARROW_ROW or n >= _NARROW_STENCIL_MIN_VERTICES):
+        if shape is not None:
             return _torus_counts(mask.view(np.uint8), *shape)
     if d is not None:
         return np.add.reduce(mask.view(np.uint8).take(network.neighbor_table()),
@@ -417,26 +406,22 @@ def _stepped_counts(config: np.ndarray, width: int) -> list[int]:
     return [config.size - nonzero, nonzero - sum(higher), *higher]
 
 
-def _repeats(a: np.ndarray, a_counts: list[int], b: np.ndarray, b_counts: list[int]) -> bool:
-    # equal configurations have equal counts, so most unequal pairs are
-    # told apart without a pass over the arrays
-    return a_counts == b_counts and np.array_equal(a, b)
+def is_settled(old: np.ndarray, old_counts: list[int], nxt: np.ndarray,
+               nxt_counts: list[int], draws: int) -> bool:
+    """Does a run repeat for good from ``old``?
 
-
-def is_settled(rule: UpdateRule, prev: np.ndarray, prev_counts: list[int],
-               nxt: np.ndarray, nxt_counts: list[int], draws: int) -> bool:
-    """Will a run alternate between its last two configurations for good?
-
-    ``prev``, ``config`` and ``nxt`` are the last three configurations of a
-    run and ``draws`` is the number of uniforms taken by the two steps that
-    made ``config`` and ``nxt``. Under a greedy rule a step that draws
-    nothing is a function of its configuration alone, so when ``nxt``
-    equals ``prev`` every later round repeats ``config``, ``nxt``,
-    ``config``, ... and draws nothing. The noisy rule draws every round and
+    ``old`` is the configuration one or two rounds before ``nxt``, the
+    latest configuration of a run, and ``draws`` is the number of uniforms
+    taken by the steps that led from ``old`` to ``nxt``. Under a greedy rule
+    a step that draws nothing is a function of its configuration alone, so
+    when ``nxt`` equals ``old`` and those steps drew nothing, every later
+    round repeats them without drawing: a fixed point one round back, a
+    two-cycle two rounds back. The noisy rule draws every round, so it
     never settles.
     """
-    return (rule.kind is not RuleKind.MAIN_NOISY and draws == 0
-            and _repeats(nxt, nxt_counts, prev, prev_counts))
+    # equal configurations have equal counts, so most unequal pairs are
+    # told apart without a pass over the arrays
+    return draws == 0 and old_counts == nxt_counts and np.array_equal(old, nxt)
 
 
 class _CountedDraws:
@@ -464,16 +449,17 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
     every player in the rule's codes, so a code the cast would change
     (258, -255, 1.7) or one the rule lacks raises ``ValueError``.
 
-    With ``early_stop`` the run halts as soon as the latest configuration
-    repeats the previous one (fixed point) or the one before that
-    (two-cycle); otherwise exactly ``max_rounds`` rounds are simulated,
-    which keeps round counts comparable across runs. Without ``early_stop``
-    a run that has settled (:func:`is_settled`: a greedy rule, a repeat of
-    the configuration two rounds back, and no tie draw in the two steps
-    that made it) stops stepping: the remaining rows of ``counts``, and of
-    the snapshots, are filled with the alternating pair, exactly the rows
-    stepping would give, and ``ties`` is left where stepping would leave
-    it, untouched. Snapshots are stacked once, on return.
+    A run has settled once :func:`is_settled` holds: under a greedy rule,
+    the latest configuration repeats the previous one with no draw in the
+    step that made it (fixed point), or the one before that with no draw in
+    the two steps that led there (two-cycle). With ``early_stop`` the run
+    halts there and reports which; otherwise exactly ``max_rounds`` rounds
+    are simulated, which keeps round counts comparable across runs, but a
+    settled run stops stepping: the remaining rows of ``counts``, and of the
+    snapshots, are filled with the repeated configurations, exactly the
+    rows stepping would give, and ``ties`` is left where stepping would
+    leave it, untouched. Snapshots are stacked once, on return. The noisy
+    rule never settles, so ``early_stop`` with it raises ``ValueError``.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
@@ -482,6 +468,8 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         raise ValueError("simulation requires a non-empty network")
     if not network.is_connected():
         raise ValueError("simulation requires a connected network")
+    if early_stop and rule.kind is RuleKind.MAIN_NOISY:
+        raise ValueError("the noisy rule never settles, so it cannot stop early")
     table = decision_table(params, rule, int(network.degrees.max(initial=0)))
     initial = np.asarray(initial)
     if initial.shape != (n,):
@@ -503,23 +491,25 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
         counts.append(_stepped_counts(nxt, width))
         if record_snapshots:
             snapshots.append(nxt)
-        if early_stop:
-            if _repeats(nxt, counts[-1], config, counts[-2]):
-                termination = Termination.FIXED_POINT
-                break
-            if prev is not None and _repeats(nxt, counts[-1], prev, counts[-3]):
-                termination = Termination.TWO_CYCLE
-                break
-        elif prev is not None and is_settled(rule, prev, counts[-3], nxt, counts[-1],
+        if is_settled(config, counts[-2], nxt, counts[-1], new_draws):
+            settled = Termination.FIXED_POINT
+        elif prev is not None and is_settled(prev, counts[-3], nxt, counts[-1],
                                              last_draws + new_draws):
-            # rounds t + 2, t + 3, ... repeat config, nxt, config, ...
+            settled = Termination.TWO_CYCLE
+        else:
+            prev, config, last_draws = config, nxt, new_draws
+            continue
+        if early_stop:
+            termination = settled
+        else:
+            # rounds t + 2, t + 3, ... repeat config, nxt, config, ..., which
+            # are one configuration at a fixed point
             rest = max_rounds - 1 - t
             pairs = (rest + 1) // 2
             counts += (counts[-2:] * pairs)[:rest]
             if record_snapshots:
                 snapshots += ([config, nxt] * pairs)[:rest]
-            break
-        prev, config, last_draws = config, nxt, new_draws
+        break
     return Trace(counts=np.array(counts, dtype=np.int64), termination=termination,
                  rule=rule, params=params,
                  snapshots=None if snapshots is None else np.stack(snapshots))

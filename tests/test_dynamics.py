@@ -236,6 +236,28 @@ class TestRun:
         assert trace.counts.shape[0] == trace.rounds + 1
         _assert_snapshot_stack(trace, 25)
 
+    def test_early_stop_passes_a_repeat_with_a_tie_draw(self):
+        # round 4 repeats round 2, but a tied player draws on the way and
+        # the run leaves the repeat for full defection
+        g = build_torus_grid(5, 6)
+        init = np.array([int(c) for c in "200202000020020010000112000101"], dtype=np.int8)
+        trace = run(g, init, MainParams(0.75, 0.5, 0.5), UpdateRule.main_greedy(),
+                    np.random.default_rng(1_000_135), max_rounds=60, early_stop=True,
+                    record_snapshots=True)
+        assert np.array_equal(trace.snapshots[4], trace.snapshots[2])
+        assert trace.counts[2].tolist() == [22, 0, 8]
+        assert trace.termination is Termination.FIXED_POINT
+        assert trace.rounds == 10 and trace.round_reached == 9
+        assert trace.counts[-1].tolist() == [30, 0, 0]
+
+    @pytest.mark.parametrize("p_greedy", [0.9, 1.0])
+    def test_noisy_rule_cannot_stop_early(self, torus5, grid_params, p_greedy):
+        # noise draws are taken every round, so no state of it is settled
+        with pytest.raises(ValueError, match="never settles"):
+            run(torus5, np.zeros(25, dtype=np.int8), grid_params,
+                UpdateRule.main_noisy(p_greedy), np.random.default_rng(0), max_rounds=5,
+                early_stop=True)
+
     def test_two_cycle_detected(self):
         # small side all-defector against a cooperating large side swaps
         # the two sides every round
@@ -468,8 +490,7 @@ def graphs():
         "torus7x5": build_torus_grid(7, 5),
         "edge": Network.from_edges(2, [(0, 1)]),
         "single": Network.from_edges(1, []),  # d = 0, a (0, 1) table
-        # tori above the stencil gate, square-ish and thin both ways; rows
-        # of 3 keep the table, rows of 4 at 4,000 vertices take the stencil
+        # tori above the stencil gate, square-ish and thin both ways
         "torus60x50": build_torus_grid(60, 50),
         "torus3x1000": build_torus_grid(3, 1000),
         "torus4x1000": build_torus_grid(4, 1000),
@@ -580,6 +601,10 @@ def test_run_equals_iterated_step_after_a_repeat(monkeypatch, name, rounds):
     if name in ("tied-repeat", "noisy"):
         # a fill from the first repeat would be wrong or skip draws
         assert steps > first_repeat
+    elif name == "fixed-point":
+        # run stops stepping once a round repeats the one before
+        assert steps == first_repeat - 1
+        assert np.array_equal(snapshots[steps], snapshots[steps - 1])
     else:
         # run stops stepping at the first repeat and fills the rest
         assert steps == first_repeat
@@ -592,17 +617,24 @@ def test_run_equals_iterated_step_after_a_repeat(monkeypatch, name, rounds):
         assert trace.counts[-1].tolist() != trace.counts[-2].tolist()
 
 
-def test_is_settled():
+def test_is_settled(triangle, grid_params):
+    # fixed points: all-hypocrite steps to itself without a draw, while a
+    # round with a tie draw proves nothing even when it repeats
+    config = np.full(3, H, dtype=np.int8)
+    nxt = step(triangle, config, table_for(triangle, grid_params, UpdateRule.main_greedy()),
+               np.random.default_rng(0))
+    assert dynamics.is_settled(config, [0, 3, 0], nxt, [0, 3, 0], 0)
+    assert not dynamics.is_settled(config, [0, 3, 0], nxt, [0, 3, 0], 1)
+    # two-cycles, with the draws of the two steps that led there
     a = np.array([D, H, C, C], dtype=np.int8)
     b = np.array([C, H, C, D], dtype=np.int8)  # same counts as a
     counts = [1, 1, 2]
-    greedy = UpdateRule.main_greedy()
-    assert dynamics.is_settled(greedy, a, counts, a.copy(), counts, 0)
-    assert not dynamics.is_settled(greedy, a, counts, b, counts, 0)
-    assert not dynamics.is_settled(greedy, a, counts, a.copy(), counts, 1)
-    assert not dynamics.is_settled(UpdateRule.main_noisy(1.0), a, counts, a.copy(), counts, 0)
+    assert dynamics.is_settled(a, counts, a.copy(), counts, 0)
+    assert not dynamics.is_settled(a, counts, b, counts, 0)
+    assert not dynamics.is_settled(a, counts, a.copy(), counts, 1)
     # counts are compared first: different counts never reach the arrays
-    assert not dynamics.is_settled(greedy, a, counts, a.copy(), [0, 2, 2], 0)
+    assert not dynamics.is_settled(config, [1, 2, 0], nxt, [0, 3, 0], 0)
+    assert not dynamics.is_settled(a, counts, a.copy(), [0, 2, 2], 0)
 
 
 # Irregular and disconnected, so counted and stepped only below: run refuses them.
@@ -706,9 +738,9 @@ class TestNeighborTable:
             "50x50": (build_torus_grid(50, 50), (50, 50), True),
             "relabelled": (graphs["relabelled"], None, False),
             "switched": (graphs["switched"], None, False),
-            # rows of fewer than 5 players need 4,000 vertices; long rows do not
-            "3x1000": (build_torus_grid(3, 1000), (3, 1000), False),
-            "4x999": (build_torus_grid(4, 999), (4, 999), False),
+            # short rows and long rows alike take the stencil above the gate
+            "3x1000": (build_torus_grid(3, 1000), (3, 1000), True),
+            "4x999": (build_torus_grid(4, 999), (4, 999), True),
             "4x1000": (build_torus_grid(4, 1000), (4, 1000), True),
             "5x500": (build_torus_grid(5, 500), (5, 500), True),
             "1000x3": (build_torus_grid(1000, 3), (1000, 3), True),
