@@ -463,13 +463,13 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
+    if early_stop and rule.kind is RuleKind.MAIN_NOISY:
+        raise ValueError("the noisy rule never settles, so it cannot stop early")
     n = network.vertex_count
     if n == 0:
         raise ValueError("simulation requires a non-empty network")
     if not network.is_connected():
         raise ValueError("simulation requires a connected network")
-    if early_stop and rule.kind is RuleKind.MAIN_NOISY:
-        raise ValueError("the noisy rule never settles, so it cannot stop early")
     table = decision_table(params, rule, int(network.degrees.max(initial=0)))
     initial = np.asarray(initial)
     if initial.shape != (n,):
