@@ -136,6 +136,7 @@ def cmd_simulate(args) -> int:
     record.update({k: flags[k] for k in MAIN_KEYS + TWO_ORDER_KEYS if flags[k] is not None})
     params = params_from_dict(record)
     rule.check_params(params)
+    rule.check_early_stop(args.early_stop)
     check_epsilon(args.epsilon)
     if args.rounds < 0:
         raise ValueError(f"--rounds must be non-negative, got {args.rounds}")

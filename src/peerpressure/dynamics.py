@@ -47,16 +47,15 @@ by ``delta`` at a few breakpoints ``j``. A round counts ``k`` for every
 player, builds the choice as the choice at ``k = 0`` plus ``delta``
 wherever ``k >= j`` (one ``int8`` compare and add per breakpoint, with no
 index conversion of ``k``), and resolves ties only for players whose ``k``
-is tied. On networks where every vertex has the same degree ``d`` the
-punishing mask is gathered once through the network's column-major
-``(d, n)`` neighbour table, and ``k`` is one reduce over its ``d``
-contiguous rows in an integer type wide enough for ``d``. A network of at least
-``_STENCIL_MIN_VERTICES`` (2,500) vertices that is exactly the row-major
-torus of :func:`~peerpressure.graphs.build_torus_grid` skips the gather:
-``k`` is four shifted whole-array slice adds of its mask plus a fix-up of
-the first and last columns of the ``(height, width)`` grid, with the same
-``uint8`` values the table gives. The stencil is about ten times faster at
-300x300; the two meet near 50x50, and below that the table wins.
+is tied. ``k`` is counted by symmetry: each punishing player adds one to
+every neighbour, so ``k`` is one int64 ``bincount`` of the punishing
+players' concatenated neighbour lists, on any network. A network of at
+least ``_STENCIL_MIN_VERTICES`` (2,500) vertices that is exactly the
+row-major torus of :func:`~peerpressure.graphs.build_torus_grid` skips
+that gather: ``k`` is four shifted whole-array slice adds of its mask plus
+a fix-up of the first and last columns of the ``(height, width)`` grid, as
+``uint8`` with the same values. The stencil is about thirty times faster
+at 300x300; on the tiny tori of ``verify all`` the ``bincount`` wins.
 
 Rounds of a run
 ---------------
@@ -152,6 +151,12 @@ class UpdateRule:
         elif not isinstance(params, MainParams):
             raise ValueError(f"rule {self.kind.value} requires MainParams")
 
+    def check_early_stop(self, early_stop: bool) -> None:
+        """Raise ``ValueError`` if ``early_stop`` is asked of the noisy rule,
+        which draws every round and so never settles."""
+        if early_stop and self.kind is RuleKind.MAIN_NOISY:
+            raise ValueError("the noisy rule never settles, so it cannot stop early")
+
 
 class Termination(Enum):
     MAX_ROUNDS = "max-rounds"
@@ -199,11 +204,13 @@ class Trace:
         return self.rounds - lag
 
 
-# Tori below this many vertices keep the table gather, which is faster
-# there. Per call, mask included, table against stencil on a 2-core x86-64
-# VM with numpy 2.4: 11-18 against 14-22 us at 40x40, 16-23 against
-# 14-21 us at 50x50, 24-26 against 15-22 us at 64x64, and 400-550 against
-# 50-56 us at 300x300.
+# Tori below this many vertices count with the bincount. Per call, mask
+# included, bincount against stencil on a 2-core x86-64 VM with numpy 2.4:
+# 6-9 against 17-21 us at 6x6, 9 against 21 us at 10x10, 23 against 22 us
+# at 30x30, 35 against 23 us at 40x40 and 1,550-2,060 against 58-59 us at
+# 300x300. The two meet near 30x30, but the gate stays: the tori of verify
+# all have at most 36 vertices, the README's at least 2,500, and recognising
+# a torus costs 40 us per network at 6x6 and 215 us at 50x50.
 _STENCIL_MIN_VERTICES = 2500
 
 
@@ -214,27 +221,18 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     do not; in the main model this is exactly the non-defector neighbour
     count. A network of at least ``_STENCIL_MIN_VERTICES`` vertices whose
     :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
-    counts with slices over the row-major grid (:func:`_torus_counts`).
-    Otherwise, when every vertex has degree ``d``, the mask is gathered
-    through the network's ``(d, n)``
-    :meth:`~peerpressure.graphs.Network.neighbor_table` and its ``d``
-    contiguous rows are added in the narrowest unsigned type that holds
-    ``d``; both regular paths give ``uint8`` counts on a torus. Irregular
-    networks count by symmetry, as an int64 ``bincount`` of the punishing
-    vertices' neighbour lists.
+    counts in ``uint8`` with slices over the row-major grid
+    (:func:`_torus_counts`). Every other network counts by symmetry, as an
+    int64 ``bincount`` of the punishing vertices' neighbour lists, 0 on an
+    isolated vertex.
     """
     # hypocrites (1) and cooperators (2) are the codes that wrap to 0 and 1
     # when 1 is subtracted from their unsigned bytes
     mask = (np.asarray(config, dtype=np.int8).view(np.uint8) - 1) <= 1
-    d = network.regular_degree
-    n = network.vertex_count
-    if d == 4 and n >= _STENCIL_MIN_VERTICES:
+    if network.regular_degree == 4 and network.vertex_count >= _STENCIL_MIN_VERTICES:
         shape = network.torus_shape()
         if shape is not None:
             return _torus_counts(mask.view(np.uint8), *shape)
-    if d is not None:
-        return np.add.reduce(mask.view(np.uint8).take(network.neighbor_table()),
-                             axis=0, dtype=np.min_scalar_type(d))
     return np.bincount(network.indices[np.repeat(mask, network.degrees)],
                        minlength=network.vertex_count)
 
@@ -463,8 +461,7 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
-    if early_stop and rule.kind is RuleKind.MAIN_NOISY:
-        raise ValueError("the noisy rule never settles, so it cannot stop early")
+    rule.check_early_stop(early_stop)
     n = network.vertex_count
     if n == 0:
         raise ValueError("simulation requires a non-empty network")

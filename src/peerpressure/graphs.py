@@ -37,10 +37,9 @@ class Network:
         that equal graphs have identical arrays.
 
     ``degrees`` and ``regular_degree`` are set once on construction; an
-    arc's source is read from ``indptr``, not stored. A regular network
-    also has a column-major copy of ``indices``, :meth:`neighbor_table`,
-    and any network can tell whether it is exactly a row-major torus,
-    :meth:`torus_shape`; both are worked out on first use and cached, like
+    arc's source is read from ``indptr``, not stored, so ``indices`` is the
+    only per-arc array kept. Whether the network is exactly a row-major
+    torus, :meth:`torus_shape`, is worked out on first use and cached, like
     connectivity.
     """
 
@@ -50,7 +49,6 @@ class Network:
     #: The degree shared by every vertex; None if degrees differ or n = 0.
     regular_degree: int | None = field(init=False, repr=False)
     _connected: bool | None = field(default=None, init=False, repr=False)
-    _table: np.ndarray | None = field(default=None, init=False, repr=False)
     #: (width, height) once recognised as a torus, () once ruled out.
     _torus: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
@@ -114,20 +112,6 @@ class Network:
             else:
                 self._connected = int((bfs_distances(self, 0) >= 0).sum()) == n
         return self._connected
-
-    def neighbor_table(self) -> np.ndarray:
-        """The contiguous ``(d, n)`` table of a d-regular network: entry
-        ``[j, u]`` is the ``j``-th smallest neighbour of ``u``.
-
-        Built on the first call and cached. Raises ``ValueError`` unless
-        every vertex has the same degree.
-        """
-        if self._table is None:
-            d = self.regular_degree
-            if d is None:
-                raise ValueError("a neighbour table needs a regular network")
-            self._table = np.ascontiguousarray(self.indices.reshape(self.vertex_count, d).T)
-        return self._table
 
     def torus_shape(self) -> tuple[int, int] | None:
         """``(width, height)`` if this network is exactly
@@ -403,20 +387,31 @@ def write_edge_list(network: Network, path: str) -> None:
 
 
 def read_edge_list(path: str) -> Network:
-    """Inverse of :func:`write_edge_list`; tolerant of extra whitespace."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    """Inverse of :func:`write_edge_list`; tolerant of extra whitespace.
+
+    Every malformed-input error is a ``ValueError`` whose message starts
+    with ``path``.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+        return _edge_list_network(tokens)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _edge_list_network(tokens: list[str]) -> Network:
     if len(tokens) < 2:
-        raise ValueError(f"{path}: missing header")
+        raise ValueError("missing header")
     n, m = int(tokens[0]), int(tokens[1])
     if n < 0 or m < 0:
-        raise ValueError(f"{path}: header gives negative counts n={n}, m={m}")
+        raise ValueError(f"header gives negative counts n={n}, m={m}")
     if len(tokens) % 2:
-        raise ValueError(f"{path}: odd number of edge endpoints ({len(tokens) - 2})")
+        raise ValueError(f"odd number of edge endpoints ({len(tokens) - 2})")
     if len(tokens) != 2 + 2 * m:
-        raise ValueError(f"{path}: expected {m} edges, found {(len(tokens) - 2) // 2}")
+        raise ValueError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
     try:
         edges = np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
     except OverflowError:
-        raise ValueError(f"{path}: edge endpoint out of range for n={n}") from None
+        raise ValueError(f"edge endpoint out of range for n={n}") from None
     return Network.from_edges(n, edges)

@@ -203,13 +203,16 @@ def test_simulate_noisy_reports_p_greedy(capsys):
     assert record["rule"] == "main-noisy"
 
 
-def test_simulate_noisy_early_stop_is_usage_error(capsys):
-    code = run_cli("simulate", "--torus", "5", "5", "--noisy", "0.9", "--early-stop",
-                   *MAIN_FLAGS, "--rounds", "5", "--seed", "4")
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "error: the noisy rule never settles, so it cannot stop early" in captured.err
-    assert "rounds=" not in captured.out
+def test_simulate_noisy_early_stop_is_usage_error(tmp_path, capsys):
+    # rejected before any work: a missing edge list is never opened
+    for network in (["--torus", "5", "5"], ["--graph", str(tmp_path / "missing.edges")]):
+        code = run_cli("simulate", *network, "--noisy", "0.9", "--early-stop",
+                       *MAIN_FLAGS, "--rounds", "5", "--seed", "4")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: the noisy rule never settles, so it cannot stop early" in captured.err
+        assert "effective-config" not in captured.out
+        assert "rounds=" not in captured.out
 
 
 def test_simulate_regime_note_printed(capsys):

@@ -489,7 +489,7 @@ def graphs():
         # non-square, so the two grid directions wrap at different lengths
         "torus7x5": build_torus_grid(7, 5),
         "edge": Network.from_edges(2, [(0, 1)]),
-        "single": Network.from_edges(1, []),  # d = 0, a (0, 1) table
+        "single": Network.from_edges(1, []),  # d = 0, no arcs
         # tori above the stencil gate, square-ish and thin both ways
         "torus60x50": build_torus_grid(60, 50),
         "torus3x1000": build_torus_grid(3, 1000),
@@ -498,7 +498,7 @@ def graphs():
         # near-tori, which must not be taken for the row-major torus
         "relabelled": _relabelled(build_torus_grid(60, 50), 11),
         "switched": _two_switched(60, 50, 30 + 25 * 60, 30 + 27 * 60),
-        # above the gate without the stencil: counts through the neighbour table
+        # above the gate without the stencil: counted by the bincount
         "regular3000": sample_random_regular(3000, 5, np.random.default_rng(13)),
     }
 
@@ -649,6 +649,7 @@ def test_punishing_counts_match_python_count(graphs, graph_name):
     g = ISOLATED[graph_name] if graph_name in ISOLATED else graphs[graph_name]
     regular = graph_name not in ("gnp", "wheel", *ISOLATED)
     assert (g.regular_degree is not None) == regular
+    stencil = graph_name in ("torus60x50", "torus3x1000", "torus4x1000", "torus1000x3")
     rng = np.random.default_rng(9)
     configs = [rng.integers(0, 4, size=g.vertex_count).astype(np.int8),
                np.full(g.vertex_count, C, dtype=np.int8),
@@ -656,8 +657,7 @@ def test_punishing_counts_match_python_count(graphs, graph_name):
     for config in configs:
         counts = punishing_counts(g, config)
         assert counts.tolist() == _python_counts(g, config)
-        if not regular:
-            assert counts.dtype == np.int64
+        assert counts.dtype == (np.uint8 if stencil else np.int64)
     if graph_name in ISOLATED:
         for rule_name, (rule, _) in RULES.items():
             params = LOW_TIES[1] if rule.is_two_order else LOW_TIES[0]
@@ -707,35 +707,28 @@ def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name,
     assert table.is_tied.take(k).any() == (param_set == "tie-rich")
 
 
-class TestNeighborTable:
-    def test_built_by_the_first_run_and_reused(self, tmp_path, grid_params):
+class TestPunishingPath:
+    def test_stencil_only_on_large_exact_tori(self, graphs, tmp_path, grid_params,
+                                              monkeypatch):
         from peerpressure import read_edge_list, write_edge_list
 
-        torus = build_torus_grid(5, 4)
-        write_edge_list(torus, str(tmp_path / "torus.edges"))
-        read = read_edge_list(str(tmp_path / "torus.edges"))
-        cycle = Network.from_edges(5, [(u, (u + 1) % 5) for u in range(5)])
-        for g in (torus, read, cycle):
-            assert g._table is None
-            init = np.full(g.vertex_count, C, dtype=np.int8)
-            run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
-            table = g._table
-            assert table is not None and table.flags.c_contiguous
-            assert table.shape == (g.regular_degree, g.vertex_count)
-            assert table.T.tolist() == [g.neighbors(u) for u in range(g.vertex_count)]
-            run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
-            assert g._table is table
-            assert g.neighbor_table() is table
+        stencil_counts = dynamics._torus_counts
+        calls = []
 
-    def test_stencil_only_on_large_exact_tori(self, graphs, tmp_path, grid_params):
-        from peerpressure import read_edge_list, write_edge_list
+        def counted(mask, width, height):
+            calls.append((width, height))
+            return stencil_counts(mask, width, height)
 
+        monkeypatch.setattr(dynamics, "_torus_counts", counted)
         write_edge_list(graphs["torus60x50"], str(tmp_path / "torus.edges"))
         cases = {
             "torus60x50": (graphs["torus60x50"], (60, 50), True),
             "read back": (read_edge_list(str(tmp_path / "torus.edges")), (60, 50), True),
-            # the README simulate torus sits exactly at the gate
+            # the README simulate torus sits exactly at the gate, one
+            # vertex less stays below it
             "50x50": (build_torus_grid(50, 50), (50, 50), True),
+            "49x51": (build_torus_grid(49, 51), (49, 51), False),
+            "7x5": (build_torus_grid(7, 5), (7, 5), False),
             "relabelled": (graphs["relabelled"], None, False),
             "switched": (graphs["switched"], None, False),
             # short rows and long rows alike take the stencil above the gate
@@ -747,17 +740,23 @@ class TestNeighborTable:
         }
         for name, (g, shape, stencil) in cases.items():
             assert g.regular_degree == 4, name
+            calls.clear()
             init = np.full(g.vertex_count, C, dtype=np.int8)
             run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
             assert g.torus_shape() == shape, name
-            assert (g._table is None) == stencil, name
+            assert set(calls) == ({shape} if stencil else set()), name
 
-    def test_irregular_network_has_none(self, path3, grid_params):
-        init = np.full(3, C, dtype=np.int8)
-        run(path3, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
-        assert path3._table is None
-        with pytest.raises(ValueError, match="regular"):
-            path3.neighbor_table()
+    @pytest.mark.parametrize("graph_name", ["regular", "torus", "torus60x50"])
+    def test_no_per_arc_array_but_indices(self, graphs, graph_name, grid_params):
+        g = graphs[graph_name]
+        n = g.vertex_count
+        run(g, np.full(n, C, dtype=np.int8), grid_params, UpdateRule.main_greedy(),
+            np.random.default_rng(0), 2)
+        arrays = {name: value for name, value in vars(g).items()
+                  if isinstance(value, np.ndarray)}
+        # the bound catches a per-arc array: indices itself exceeds it
+        assert arrays["indices"].size > n + 1
+        assert {name for name, value in arrays.items() if value.size > n + 1} == {"indices"}
 
 
 class TestDecisionTable:

@@ -327,9 +327,13 @@ def test_edge_list_rejects_malformed(tmp_path):
         ("3 1\n0 1 extra\n", r"odd number of edge endpoints \(3\)"),
         ("3 1\n0 3\n", "out of range"),
         ("3 1\n0 99999999999999999999\n", "out of range"),
+        ("x 0\n", "invalid literal for int"),
+        ("3 1\n0 1.5\n", "invalid literal for int.*'1.5'"),
+        ("3 1\n0 \u00e9\n", "'ascii' codec can't decode"),
     ]:
-        bad.write_text(text)
-        with pytest.raises(ValueError, match=message):
+        bad.write_text(text, encoding="utf-8")
+        # every message names the file first
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*{message}"):
             read_edge_list(str(bad))
 
 
