@@ -76,17 +76,6 @@ def _network_spec_from_args(args) -> NetworkSpec | None:
 # ---------------------------------------------------------------------------
 
 
-def _generated_summary(spec: NetworkSpec, network) -> tuple[int, int, bool, int | None]:
-    """Minimum degree, diameter, bipartiteness and odd girth of a generated
-    network. A torus has them in closed form; all-sources BFS would take
-    minutes at 300x300."""
-    if spec.kind == "torus":
-        odd_sides = [side for side in (spec.width, spec.height) if side % 2]
-        return 4, spec.width // 2 + spec.height // 2, not odd_sides, min(odd_sides, default=None)
-    metrics = compute_metrics(network)
-    return metrics.min_degree, metrics.diameter, metrics.is_bipartite, metrics.odd_girth
-
-
 def cmd_generate(args) -> int:
     spec = _network_spec_from_args(args)
     settings = {"out": args.out, "network": spec.label()}
@@ -103,11 +92,11 @@ def cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_edge_list(network, args.out)
-    min_degree, diameter, bipartite, odd_girth = _generated_summary(spec, network)
-    odd = "-" if odd_girth is None else str(odd_girth)
+    metrics = compute_metrics(network)
+    odd = "-" if metrics.odd_girth is None else str(metrics.odd_girth)
     print(f"generated {spec.label()}: n={network.vertex_count} m={network.edge_count} "
-          f"min_degree={min_degree} diameter={diameter} "
-          f"bipartite={str(bipartite).lower()} odd_girth={odd}")
+          f"min_degree={metrics.min_degree} diameter={metrics.diameter} "
+          f"bipartite={str(metrics.is_bipartite).lower()} odd_girth={odd}")
     return 0
 
 

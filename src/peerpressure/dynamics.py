@@ -49,13 +49,15 @@ wherever ``k >= j`` (one ``int8`` compare and add per breakpoint, with no
 index conversion of ``k``), and resolves ties only for players whose ``k``
 is tied. ``k`` is counted by symmetry: each punishing player adds one to
 every neighbour, so ``k`` is one int64 ``bincount`` of the punishing
-players' concatenated neighbour lists, on any network. A network of at
-least ``_STENCIL_MIN_VERTICES`` (2,500) vertices that is exactly the
-row-major torus of :func:`~peerpressure.graphs.build_torus_grid` skips
-that gather: ``k`` is four shifted whole-array slice adds of its mask plus
-a fix-up of the first and last columns of the ``(height, width)`` grid, as
-``uint8`` with the same values. The stencil is about thirty times faster
-at 300x300; on the tiny tori of ``verify all`` the ``bincount`` wins.
+players' concatenated neighbour lists, on any network. A network whose
+:meth:`~peerpressure.graphs.Network.torus_shape` is known, the row-major
+torus of :func:`~peerpressure.graphs.build_torus_grid` however it was
+made, skips that gather: ``k`` is four shifted whole-array slice adds of
+its mask plus a fix-up of the first and last columns of the ``(height,
+width)`` grid, as ``uint8`` with the same values. The stencil is about
+thirty times faster at 300x300 and about 7 us slower per call below 30x30,
+a millisecond over the 165 stencil calls of ``verify all --seed 3``; a
+built torus carries its shape, so it pays no recognition.
 
 Rounds of a run
 ---------------
@@ -204,35 +206,24 @@ class Trace:
         return self.rounds - lag
 
 
-# Tori below this many vertices count with the bincount. Per call, mask
-# included, bincount against stencil on a 2-core x86-64 VM with numpy 2.4:
-# 6-9 against 17-21 us at 6x6, 9 against 21 us at 10x10, 23 against 22 us
-# at 30x30, 35 against 23 us at 40x40 and 1,550-2,060 against 58-59 us at
-# 300x300. The two meet near 30x30, but the gate stays: the tori of verify
-# all have at most 36 vertices, the README's at least 2,500, and recognising
-# a torus costs 40 us per network at 6x6 and 215 us at 50x50.
-_STENCIL_MIN_VERTICES = 2500
-
-
 def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
     """Per-vertex count of neighbours currently punishing.
 
     Hypocrites and cooperators punish, defectors and private cooperators
     do not; in the main model this is exactly the non-defector neighbour
-    count. A network of at least ``_STENCIL_MIN_VERTICES`` vertices whose
+    count. A network whose
     :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
     counts in ``uint8`` with slices over the row-major grid
-    (:func:`_torus_counts`). Every other network counts by symmetry, as an
-    int64 ``bincount`` of the punishing vertices' neighbour lists, 0 on an
-    isolated vertex.
+    (:func:`_torus_counts`), whatever its size. Every other network counts
+    by symmetry, as an int64 ``bincount`` of the punishing vertices'
+    neighbour lists, 0 on an isolated vertex.
     """
     # hypocrites (1) and cooperators (2) are the codes that wrap to 0 and 1
     # when 1 is subtracted from their unsigned bytes
     mask = (np.asarray(config, dtype=np.int8).view(np.uint8) - 1) <= 1
-    if network.regular_degree == 4 and network.vertex_count >= _STENCIL_MIN_VERTICES:
-        shape = network.torus_shape()
-        if shape is not None:
-            return _torus_counts(mask.view(np.uint8), *shape)
+    shape = network.torus_shape()
+    if shape is not None:
+        return _torus_counts(mask.view(np.uint8), *shape)
     return np.bincount(network.indices[np.repeat(mask, network.degrees)],
                        minlength=network.vertex_count)
 

@@ -39,8 +39,9 @@ class Network:
     ``degrees`` and ``regular_degree`` are set once on construction; an
     arc's source is read from ``indptr``, not stored, so ``indices`` is the
     only per-arc array kept. Whether the network is exactly a row-major
-    torus, :meth:`torus_shape`, is worked out on first use and cached, like
-    connectivity.
+    torus, :meth:`torus_shape`, is set by :func:`build_torus_grid` or worked
+    out on first use and cached; a recognised torus is connected and has
+    closed-form metrics, so it is never searched.
     """
 
     indptr: np.ndarray
@@ -105,12 +106,12 @@ class Network:
         return list(zip(src[keep].tolist(), self.indices[keep].tolist()))
 
     def is_connected(self) -> bool:
+        """Whether every vertex is reachable from vertex 0, cached; a
+        recognised torus is, without a search."""
         if self._connected is None:
             n = self.vertex_count
-            if n == 0:
-                self._connected = True
-            else:
-                self._connected = int((bfs_distances(self, 0) >= 0).sum()) == n
+            self._connected = (n == 0 or self.torus_shape() is not None
+                               or int((bfs_distances(self, 0) >= 0).sum()) == n)
         return self._connected
 
     def torus_shape(self) -> tuple[int, int] | None:
@@ -121,23 +122,22 @@ class Network:
         width)`` grid: vertex ``x + y * width`` is adjacent to
         ``(x +/- 1) % width + y * width`` and ``x + ((y +/- 1) % height) *
         width``, so a per-vertex array reshaped to ``(height, width)`` is the
-        grid itself. Recognition reads only the CSR arrays, so a torus read
-        back from an edge list is recognised too: the width is vertex 0's
-        third-smallest neighbour (its sorted neighbours are ``1, width - 1,
-        width, n - width``), and every row must then equal the torus's.
-        Checked on the first call and cached; the check's temporaries (76 MB
-        at 1000x1000, below the build's own peak) are not kept.
+        grid itself. :func:`build_torus_grid` records its shape. Any other
+        network is recognised from its CSR arrays alone, so a torus read back
+        from an edge list is recognised too: only a 4-regular network is
+        checked, its width is vertex 0's third-smallest neighbour (its sorted
+        neighbours are ``1, width - 1, width, n - width``), and every row must
+        then equal the torus's. Checked on the first call and cached.
         """
+        if self.regular_degree != 4:
+            return None
         if self._torus is None:
             self._torus = ()
-            n = self.vertex_count
-            if self.regular_degree == 4:
-                width = int(self.indices[2])
-                height = n // width
-                if (width >= 3 and height >= 3 and width * height == n
-                        and np.array_equal(np.sort(_torus_columns(width, height), axis=1).ravel(),
-                                           self.indices)):
-                    self._torus = (width, height)
+            width = int(self.indices[2])
+            height = self.vertex_count // width
+            if (width >= 3 and height >= 3 and width * height == self.vertex_count
+                    and np.array_equal(_torus_rows(width, height).ravel(), self.indices)):
+                self._torus = (width, height)
         return self._torus or None
 
     @classmethod
@@ -183,25 +183,30 @@ def build_torus_grid(width: int, height: int) -> Network:
     """Wrap-around rectangular grid; every vertex has exactly 4 neighbours.
 
     Vertex (x, y) has index ``x + y * width`` and is adjacent to
-    (x +/- 1 mod width, y) and (x, y +/- 1 mod height); this row-major
-    layout is what :meth:`Network.torus_shape` recognises. Both dimensions
-    must be at least 3, otherwise wrap-around neighbours would coincide
-    and the graph would not be simple and 4-regular.
+    (x +/- 1 mod width, y) and (x, y +/- 1 mod height). The network is
+    validated like any other and carries its shape, so
+    :meth:`Network.torus_shape` returns ``(width, height)`` without a check.
+    Both dimensions must be at least 3, otherwise wrap-around neighbours
+    would coincide and the graph would not be simple and 4-regular.
     """
     if width < 3 or height < 3:
         raise ValueError(f"torus dimensions must be >= 3, got {width}x{height}")
     n = width * height
-    return Network(np.arange(0, 4 * n + 1, 4), _torus_columns(width, height).ravel())
+    network = Network(np.arange(0, 4 * n + 1, 4), _torus_rows(width, height).ravel())
+    network._torus = (width, height)
+    return network
 
 
-def _torus_columns(width: int, height: int) -> np.ndarray:
-    """The ``(n, 4)`` neighbours of the row-major torus, unsorted: row
-    ``x + y * width`` holds the neighbours at x + 1, x - 1, y + 1 and y - 1."""
+def _torus_rows(width: int, height: int) -> np.ndarray:
+    """The ``(n, 4)`` neighbours of the row-major torus, each row sorted:
+    row ``x + y * width`` holds the neighbours at x +/- 1 and y +/- 1."""
     x = np.tile(np.arange(width, dtype=np.int64), height)
     row = np.repeat(np.arange(height, dtype=np.int64) * width, width)
     n = width * height
-    return np.stack([(x + 1) % width + row, (x - 1) % width + row,
+    rows = np.stack([(x + 1) % width + row, (x - 1) % width + row,
                      (row + width) % n + x, (row - width) % n + x], axis=1)
+    rows.sort(axis=1)
+    return rows
 
 
 def sample_random_regular(n: int, d: int, rng: np.random.Generator) -> Network:
@@ -310,10 +315,15 @@ def bfs_distances(network: Network, source: int) -> np.ndarray:
 def compute_metrics(network: Network) -> GraphMetrics:
     """Diameter, minimum degree, and bipartition or shortest odd cycle.
 
-    Requires a connected network. All sources are searched breadth-first
-    at once, 64 per chunk: each vertex holds one ``uint64`` word whose bit
-    i marks "reached from source base + i at the current level", so one
-    level of the whole chunk is a single OR over every row of neighbours
+    Requires a connected network. A recognised torus
+    (:meth:`Network.torus_shape`) has them in closed form: diameter ``width
+    // 2 + height // 2``; bipartite, with classes by the parity of ``x +
+    y``, when both sides are even; otherwise odd girth the smallest odd side.
+
+    Every other network is searched from all sources breadth-first at once,
+    64 per chunk: each vertex holds one ``uint64`` word whose bit i marks
+    "reached from source base + i at the current level", so one level of
+    the whole chunk is a single OR over every row of neighbours
     (bit-parallel BFS, Akiba, Iwata & Yoshida, SIGMOD 2013). A chunk keeps
     a few words per vertex and gathers one word per arc, O(n + m) words,
     whatever the number of chunks.
@@ -326,7 +336,7 @@ def compute_metrics(network: Network) -> GraphMetrics:
     minimum, and the minimum over chunks is exact: later chunks only
     check levels that could still beat it. The graph is bipartite exactly
     when no level closes an odd walk, and then the parity of each vertex's
-    level from source 0 gives the two classes.
+    level from source 0 gives the two classes (vertex 0's class first).
     """
     n = network.vertex_count
     if n == 0:
@@ -338,12 +348,19 @@ def compute_metrics(network: Network) -> GraphMetrics:
     diameter = 0
     odd_girth: int | None = None
     odd_level = np.zeros(n, dtype=bool)  # vertices at odd distance from vertex 0
-    # reduceat cannot take empty rows, and in a connected network only a
-    # single vertex has one; its metrics are the initial values.
-    for base in range(0, n if n > 1 else 0, 64):
-        width = min(64, n - base)
+    shape = network.torus_shape()
+    if shape is not None:
+        width, height = shape
+        diameter = width // 2 + height // 2
+        odd_girth = min((side for side in shape if side % 2), default=None)
+        odd_level = ((np.arange(height)[:, None] + np.arange(width)) % 2 == 1).ravel()
+    # A recognised torus needs no search. reduceat cannot take empty rows,
+    # and in a connected network only a single vertex has one; its metrics
+    # are the initial values.
+    for base in range(0, n if n > 1 and shape is None else 0, 64):
+        chunk = min(64, n - base)
         front = np.zeros(n, dtype=np.uint64)
-        front[base:base + width] = np.uint64(1) << np.arange(width, dtype=np.uint64)
+        front[base:base + chunk] = np.uint64(1) << np.arange(chunk, dtype=np.uint64)
         seen = front.copy()
         level = 0
         while True:
@@ -361,9 +378,8 @@ def compute_metrics(network: Network) -> GraphMetrics:
 
     bipartition = None
     if odd_girth is None:
-        side_a = tuple(int(v) for v in np.flatnonzero(~odd_level))
-        side_b = tuple(int(v) for v in np.flatnonzero(odd_level))
-        bipartition = (side_a, side_b)
+        bipartition = (tuple(np.flatnonzero(~odd_level).tolist()),
+                       tuple(np.flatnonzero(odd_level).tolist()))
     return GraphMetrics(
         diameter=diameter,
         min_degree=int(network.degrees.min()),
@@ -414,4 +430,7 @@ def _edge_list_network(tokens: list[str]) -> Network:
         edges = np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
     except OverflowError:
         raise ValueError(f"edge endpoint out of range for n={n}") from None
-    return Network.from_edges(n, edges)
+    try:
+        return Network.from_edges(n, edges)
+    except MemoryError:
+        raise ValueError(f"header vertex count n={n} is too large to allocate") from None

@@ -26,31 +26,31 @@ def test_generate_torus(tmp_path, capsys):
 
 
 def test_generate_torus_summary_without_bfs(tmp_path, capsys, monkeypatch):
-    import peerpressure.cli as cli
+    # the summary comes from the torus's closed form: neither the
+    # single-source search nor the all-sources one (minutes at 300x300) runs
+    import numpy as np
+    import peerpressure.graphs as graphs
 
-    def no_bfs(network):
-        raise AssertionError("compute_metrics called for a torus")
+    class NoReduceat:
+        def reduceat(self, *args):
+            raise AssertionError("all-sources search run on a torus")
 
-    monkeypatch.setattr(cli, "compute_metrics", no_bfs)
+    def no_bfs(network, source):
+        raise AssertionError("bfs_distances called on a torus")
+
+    monkeypatch.setattr(graphs, "bfs_distances", no_bfs)
+    monkeypatch.setattr(np, "bitwise_or", NoReduceat())
     out = tmp_path / "torus.edges"
     assert run_cli("generate", "--torus", "7", "4", "--out", str(out)) == 0
-    assert ("generated torus:7x4: n=28 m=56 min_degree=4 diameter=5 "
-            "bipartite=false odd_girth=7") in capsys.readouterr().out
-
-
-def test_torus_summary_matches_metrics():
-    from peerpressure import build_torus_grid, compute_metrics
-    from peerpressure.cli import _generated_summary
-    from peerpressure.experiments import NetworkSpec
-
-    for width in range(3, 10):
-        for height in range(3, 10):
-            g = build_torus_grid(width, height)
-            metrics = compute_metrics(g)
-            spec = NetworkSpec(kind="torus", width=width, height=height)
-            assert _generated_summary(spec, g) == (
-                metrics.min_degree, metrics.diameter, metrics.is_bipartite,
-                metrics.odd_girth), (width, height)
+    assert run_cli("generate", "--torus", "300", "300", "--out", str(out)) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("generated")]
+    assert lines == [
+        "generated torus:7x4: n=28 m=56 min_degree=4 diameter=5 "
+        "bipartite=false odd_girth=7",
+        "generated torus:300x300: n=90000 m=180000 min_degree=4 diameter=300 "
+        "bipartite=true odd_girth=-",
+    ]
 
 
 def test_generate_regular_requires_seed(tmp_path, capsys):
@@ -174,6 +174,16 @@ def test_simulate_missing_graph_file_is_usage_error(capsys):
     assert run_cli("simulate", "--graph", "/nonexistent/g.edges", "--e-h", "0.1",
                    "--rho-h", "0.3", "--rho-d", "0.6", "--seed", "0") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_impossible_vertex_count_is_usage_error(tmp_path, capsys):
+    # the header asks for 728 TiB of row offsets, which fails at once
+    edges = tmp_path / "huge.edges"
+    edges.write_text("100000000000000 0\n")
+    assert run_cli("simulate", "--graph", str(edges), *MAIN_FLAGS, "--seed", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {edges}: header vertex count n=100000000000000")
+    assert "rounds=" not in captured.out
 
 
 def test_simulate_empty_network_is_usage_error(tmp_path, capsys):

@@ -490,7 +490,7 @@ def graphs():
         "torus7x5": build_torus_grid(7, 5),
         "edge": Network.from_edges(2, [(0, 1)]),
         "single": Network.from_edges(1, []),  # d = 0, no arcs
-        # tori above the stencil gate, square-ish and thin both ways
+        # larger tori, square-ish and thin both ways
         "torus60x50": build_torus_grid(60, 50),
         "torus3x1000": build_torus_grid(3, 1000),
         "torus4x1000": build_torus_grid(4, 1000),
@@ -498,7 +498,7 @@ def graphs():
         # near-tori, which must not be taken for the row-major torus
         "relabelled": _relabelled(build_torus_grid(60, 50), 11),
         "switched": _two_switched(60, 50, 30 + 25 * 60, 30 + 27 * 60),
-        # above the gate without the stencil: counted by the bincount
+        # large and 5-regular: counted by the bincount
         "regular3000": sample_random_regular(3000, 5, np.random.default_rng(13)),
     }
 
@@ -649,7 +649,7 @@ def test_punishing_counts_match_python_count(graphs, graph_name):
     g = ISOLATED[graph_name] if graph_name in ISOLATED else graphs[graph_name]
     regular = graph_name not in ("gnp", "wheel", *ISOLATED)
     assert (g.regular_degree is not None) == regular
-    stencil = graph_name in ("torus60x50", "torus3x1000", "torus4x1000", "torus1000x3")
+    stencil = graph_name.startswith("torus")
     rng = np.random.default_rng(9)
     configs = [rng.integers(0, 4, size=g.vertex_count).astype(np.int8),
                np.full(g.vertex_count, C, dtype=np.int8),
@@ -708,8 +708,7 @@ def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name,
 
 
 class TestPunishingPath:
-    def test_stencil_only_on_large_exact_tori(self, graphs, tmp_path, grid_params,
-                                              monkeypatch):
+    def test_stencil_on_every_exact_torus(self, graphs, tmp_path, grid_params, monkeypatch):
         from peerpressure import read_edge_list, write_edge_list
 
         stencil_counts = dynamics._torus_counts
@@ -719,19 +718,23 @@ class TestPunishingPath:
             calls.append((width, height))
             return stencil_counts(mask, width, height)
 
+        def read_back(g, name):
+            write_edge_list(g, str(tmp_path / name))
+            return read_edge_list(str(tmp_path / name))
+
         monkeypatch.setattr(dynamics, "_torus_counts", counted)
-        write_edge_list(graphs["torus60x50"], str(tmp_path / "torus.edges"))
         cases = {
             "torus60x50": (graphs["torus60x50"], (60, 50), True),
-            "read back": (read_edge_list(str(tmp_path / "torus.edges")), (60, 50), True),
-            # the README simulate torus sits exactly at the gate, one
-            # vertex less stays below it
+            "read back": (read_back(graphs["torus60x50"], "60x50.edges"), (60, 50), True),
+            # built or read back, tiny or not, every exact torus takes it
             "50x50": (build_torus_grid(50, 50), (50, 50), True),
-            "49x51": (build_torus_grid(49, 51), (49, 51), False),
-            "7x5": (build_torus_grid(7, 5), (7, 5), False),
+            "49x51": (build_torus_grid(49, 51), (49, 51), True),
+            "7x5": (build_torus_grid(7, 5), (7, 5), True),
+            "7x5 read back": (read_back(build_torus_grid(7, 5), "7x5.edges"), (7, 5), True),
+            "3x3": (build_torus_grid(3, 3), (3, 3), True),
             "relabelled": (graphs["relabelled"], None, False),
             "switched": (graphs["switched"], None, False),
-            # short rows and long rows alike take the stencil above the gate
+            # short rows and long rows alike
             "3x1000": (build_torus_grid(3, 1000), (3, 1000), True),
             "4x999": (build_torus_grid(4, 999), (4, 999), True),
             "4x1000": (build_torus_grid(4, 1000), (4, 1000), True),

@@ -68,7 +68,7 @@ SNAPSHOT_DIGESTS = {
 }
 
 # networks of at least 2,500 vertices, where the stepper takes its
-# whole-array passes; only the torus takes the slice stencil
+# whole-array passes; the torus takes the slice stencil, as every torus does
 LARGE_GRAPHS = {
     "torus60x50": lambda: build_torus_grid(60, 50),
     "regular3000": lambda: sample_random_regular(3000, 5, np.random.default_rng(13)),

@@ -90,6 +90,11 @@ def test_flat_neighbor_arrays(path3):
 def test_is_connected():
     assert Network.from_edges(3, [(0, 1), (1, 2)]).is_connected()
     assert not Network.from_edges(4, [(0, 1), (2, 3)]).is_connected()
+    # 4-regular like a torus, but two components
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    two_k5 = Network.from_edges(10, k5 + [(u + 5, v + 5) for u, v in k5])
+    assert two_k5.regular_degree == 4
+    assert not two_k5.is_connected()
 
 
 def test_single_vertex_is_connected():
@@ -143,6 +148,44 @@ class TestTorus:
 
     def test_width_three_torus_has_triangle_girth(self):
         assert compute_metrics(build_torus_grid(3, 6)).odd_girth == 3
+
+    def test_closed_form_matches_search(self):
+        for width in range(3, 10):
+            for height in range(3, 10):
+                g = build_torus_grid(width, height)
+                # the same arrays with the torus ruled out are searched
+                searched = Network(g.indptr, g.indices)
+                searched._torus = ()
+                assert searched.torus_shape() is None
+                assert compute_metrics(g) == compute_metrics(searched), (width, height)
+
+    def test_no_search_on_a_torus(self, tmp_path, monkeypatch):
+        import peerpressure.graphs as graphs
+
+        calls = []
+        real = graphs.bfs_distances
+        monkeypatch.setattr(graphs, "bfs_distances",
+                            lambda g, s: calls.append(s) or real(g, s))
+        torus = build_torus_grid(12, 10)
+        write_edge_list(torus, str(tmp_path / "torus.edges"))
+        perm = np.random.default_rng(3).permutation(120)
+        edges = set(torus.edges())
+        # two edges swapped for two others: still 4-regular, not the torus
+        edges ^= {(65, 66), (85, 86), (65, 85), (66, 86)}
+        rng = np.random.default_rng(4)
+        cases = {
+            "built": (torus, False),
+            "read back": (read_edge_list(str(tmp_path / "torus.edges")), False),
+            "relabelled": (Network.from_edges(120, perm[np.array(torus.edges())]), True),
+            "switched": (Network.from_edges(120, sorted(edges)), True),
+            "gnp": (random_connected_gnp(rng, 30, 0.2), True),
+        }
+        for name, (g, searched) in cases.items():
+            calls.clear()
+            assert g.is_connected(), name
+            compute_metrics(g)
+            assert (g.torus_shape() is None) == searched, name
+            assert bool(calls) == searched, name
 
 
 class TestRandomRegular:
@@ -330,6 +373,8 @@ def test_edge_list_rejects_malformed(tmp_path):
         ("x 0\n", "invalid literal for int"),
         ("3 1\n0 1.5\n", "invalid literal for int.*'1.5'"),
         ("3 1\n0 \u00e9\n", "'ascii' codec can't decode"),
+        # 728 TiB of row offsets: the allocation fails at once
+        ("100000000000000 0\n", "header vertex count n=100000000000000 is too large"),
     ]:
         bad.write_text(text, encoding="utf-8")
         # every message names the file first
