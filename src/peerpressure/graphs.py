@@ -2,12 +2,16 @@
 
 Vertices are integers ``0..n-1``. A :class:`Network` is held in compressed
 sparse row form only: row offsets ``indptr`` and the concatenated, sorted
-neighbour lists ``indices``. Construction rejects self-loops, duplicate
-edges and asymmetric input with array operations. Two generators are
-provided: a wrap-around grid where every vertex has exactly four
-neighbours, and a random d-regular sampler that pairs deficient vertices
-uniformly at random until no legal pair remains, discarding the few
-left-over vertices so the result is d-regular by construction.
+neighbour lists ``indices``. A network has two doors. The public
+constructor, :meth:`Network.from_edges` and :func:`read_edge_list` take
+user input and reject self-loops, duplicate edges and asymmetric input
+with array operations. The package's own generators, whose arrays are
+right by construction, build through ``Network._trusted``, which checks
+nothing. Two generators are provided: a wrap-around grid where every
+vertex has exactly four neighbours, and a random d-regular sampler that
+pairs deficient vertices uniformly at random until no legal pair remains,
+discarding the few left-over vertices so the result is d-regular by
+construction.
 """
 
 from __future__ import annotations
@@ -35,6 +39,12 @@ class Network:
         All neighbour lists concatenated. Must be symmetric, without
         self-loops or repeated entries. Rows are sorted on construction so
         that equal graphs have identical arrays.
+
+    ``Network(indptr, indices)`` is the validating door, for user input:
+    it checks every condition above and raises ``ValueError`` naming the
+    first offending vertex or edge. The package's generators use the
+    trusted door instead, ``Network._trusted`` (or ``_from_adjacency``),
+    which takes arrays already in final form and checks nothing.
 
     ``degrees`` and ``regular_degree`` are set once on construction; an
     arc's source is read from ``indptr``, not stored, so ``indices`` is the
@@ -84,8 +94,35 @@ class Network:
         self.indptr = indptr
         self.indices = keys - row_base
         self.degrees = degrees
-        regular = n > 0 and bool((degrees == degrees[0]).all())
-        self.regular_degree = int(degrees[0]) if regular else None
+        self.regular_degree = _common_degree(degrees)
+
+    @classmethod
+    def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, connected: bool | None,
+                 torus: tuple[int, ...] | None) -> "Network":
+        """The unchecked door for the package's own generators.
+
+        ``indptr`` and ``indices`` must be int64 CSR arrays of a simple
+        symmetric graph with every row already sorted, exactly what the
+        validating constructor would store; ``connected`` and ``torus``
+        are what the builder knows (None: work it out on first use).
+        """
+        network = cls.__new__(cls)
+        network.indptr = indptr
+        network.indices = indices
+        network.degrees = indptr[1:] - indptr[:-1]
+        network.regular_degree = _common_degree(network.degrees)
+        network._connected = connected
+        network._torus = torus
+        return network
+
+    @classmethod
+    def _from_adjacency(cls, adjacency: np.ndarray, connected: bool | None) -> "Network":
+        """Trusted network from a symmetric boolean adjacency matrix with a
+        false diagonal; ``np.nonzero`` lists each row's columns sorted."""
+        indptr = np.zeros(adjacency.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(adjacency, axis=1), out=indptr[1:])
+        return cls._trusted(indptr, np.nonzero(adjacency)[1].astype(np.int64, copy=False),
+                            connected, None)
 
     @property
     def vertex_count(self) -> int:
@@ -155,6 +192,11 @@ class Network:
         return cls(indptr, edges[:, ::-1].ravel()[order])
 
 
+def _common_degree(degrees: np.ndarray) -> int | None:
+    """The degree shared by every vertex; None if degrees differ or n = 0."""
+    return int(degrees[0]) if degrees.size and bool((degrees == degrees[0]).all()) else None
+
+
 @dataclass(frozen=True)
 class GraphMetrics:
     """Structural summary of a connected network.
@@ -183,18 +225,19 @@ def build_torus_grid(width: int, height: int) -> Network:
     """Wrap-around rectangular grid; every vertex has exactly 4 neighbours.
 
     Vertex (x, y) has index ``x + y * width`` and is adjacent to
-    (x +/- 1 mod width, y) and (x, y +/- 1 mod height). The network is
-    validated like any other and carries its shape, so
-    :meth:`Network.torus_shape` returns ``(width, height)`` without a check.
-    Both dimensions must be at least 3, otherwise wrap-around neighbours
-    would coincide and the graph would not be simple and 4-regular.
+    (x +/- 1 mod width, y) and (x, y +/- 1 mod height). The sorted rows of
+    :func:`_torus_rows` are final CSR arrays, so the network is built
+    through the trusted door without validation, marked connected, and
+    carries its shape: :meth:`Network.torus_shape` returns ``(width,
+    height)`` without a check. Both dimensions must be at least 3,
+    otherwise wrap-around neighbours would coincide and the graph would
+    not be simple and 4-regular.
     """
     if width < 3 or height < 3:
         raise ValueError(f"torus dimensions must be >= 3, got {width}x{height}")
     n = width * height
-    network = Network(np.arange(0, 4 * n + 1, 4), _torus_rows(width, height).ravel())
-    network._torus = (width, height)
-    return network
+    return Network._trusted(np.arange(0, 4 * n + 1, 4, dtype=np.int64),
+                            _torus_rows(width, height).ravel(), True, (width, height))
 
 
 def _torus_rows(width: int, height: int) -> np.ndarray:
@@ -393,13 +436,27 @@ def compute_metrics(network: Network) -> GraphMetrics:
 # ---------------------------------------------------------------------------
 
 
+# Vertices whose edges are formatted at once by write_edge_list.
+_WRITE_ROWS = 1 << 15
+
+
 def write_edge_list(network: Network, path: str) -> None:
-    """Write ``n m`` then one ``u v`` line per edge, 0-based."""
-    edges = network.edges()
+    """Write ``n m`` then one ``u v`` line per edge, 0-based, in the order
+    of :meth:`Network.edges`.
+
+    The lines are formatted straight from the CSR arrays, a block of rows
+    at a time, so no Python list of every edge is built.
+    """
+    n, indptr, indices = network.vertex_count, network.indptr, network.indices
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{network.vertex_count} {len(edges)}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{n} {network.edge_count}\n")
+        for start in range(0, n, _WRITE_ROWS):
+            stop = min(start + _WRITE_ROWS, n)
+            src = np.repeat(np.arange(start, stop), network.degrees[start:stop])
+            dst = indices[indptr[start]:indptr[stop]]
+            keep = src < dst
+            pairs = np.stack([src[keep], dst[keep]], axis=1).ravel().tolist()
+            fh.write(("%d %d\n" * (len(pairs) // 2)) % tuple(pairs))
 
 
 def read_edge_list(path: str) -> Network:

@@ -58,33 +58,65 @@ def _random_connected_network(rng: np.random.Generator, max_n: int) -> Network:
     if family == 2:
         return _random_gnp(rng, int(rng.integers(5, max_n + 1)))
     if family == 3:
-        n = int(rng.integers(3, min(max_n, 30) + 1))
-        return Network.from_edges(n, [(u, (u + 1) % n) for u in range(n)])
-    n = int(rng.integers(4, min(max_n, 12) + 1))
-    return Network.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return _cycle(int(rng.integers(3, min(max_n, 30) + 1)))
+    return _complete(int(rng.integers(4, min(max_n, 12) + 1)))
+
+
+# The suites build their own graphs from boolean adjacency matrices, which
+# are symmetric with a false diagonal by construction, through the trusted
+# door: no network in this module is validated.
+
+
+def _cycle(n: int) -> Network:
+    """The cycle 0 - 1 - ... - (n - 1) - 0, for n >= 3."""
+    succ = np.eye(n, k=1, dtype=bool) | np.eye(n, k=1 - n, dtype=bool)
+    return Network._from_adjacency(succ | succ.T, True)
+
+
+def _complete(n: int) -> Network:
+    """The complete graph on n >= 2 vertices."""
+    return Network._from_adjacency(~np.eye(n, dtype=bool), True)
+
+
+def _complete_bipartite(small: int, total: int) -> Network:
+    """K(small, total - small): vertices below ``small`` form one side."""
+    side = np.arange(total) < small
+    return Network._from_adjacency(side[:, None] != side, True)
+
+
+# Strict upper triangle of the largest n drawn so far; its top-left n x n
+# block is the strict upper triangle for any smaller n.
+_upper_mask = np.zeros((0, 0), dtype=bool)
 
 
 def _random_gnp(rng: np.random.Generator, n: int, p: float | None = None) -> Network:
     """Connected Erdos-Renyi draw; resamples until connected.
 
-    Connectivity is tested on the drawn adjacency matrix, by growing the
-    set reached from vertex 0 until it stops changing, so a ``Network`` is
-    built only for the accepted draw.
+    Each draw keeps the strict upper triangle of an ``(n, n)`` uniform
+    matrix, masked by the top-left block of one shared triangle mask, and
+    mirrors it. Connectivity is tested on that adjacency matrix, by growing
+    the set reached from vertex 0 until its size stops growing, so a
+    ``Network`` is built only for the accepted draw: from the matrix,
+    through the trusted door, marked connected.
     """
+    global _upper_mask
     if p is None:
         p = min(1.0, (np.log(max(n, 2)) + 1.0) / max(n - 1, 1))
+    if _upper_mask.shape[0] < n:
+        _upper_mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask = _upper_mask[:n, :n]
     while True:
-        upper = np.triu(rng.random((n, n)) < p, k=1)
+        upper = (rng.random((n, n)) < p) & mask
         adjacency = upper | upper.T
         reached = np.zeros(n, dtype=bool)
         reached[0] = True
-        while True:
-            grown = reached | adjacency[reached].any(axis=0)
-            if np.array_equal(grown, reached):
-                break
-            reached = grown
-        if reached.all():
-            return Network.from_edges(n, np.argwhere(upper))
+        count, grown = 0, 1
+        while grown > count:
+            count = grown
+            reached |= adjacency[reached].any(axis=0)
+            grown = np.count_nonzero(reached)
+        if count == n:
+            return Network._from_adjacency(adjacency, True)
 
 
 def _plant_nondefectors(config: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -241,8 +273,7 @@ def oscillation_suite(seed: int) -> list[InstanceOutcome]:
     """
     outcomes = []
     for idx, (small, total) in enumerate([(3, 10), (5, 16)]):
-        edges = [(u, v) for u in range(small) for v in range(small, total)]
-        g = Network.from_edges(total, edges)
+        g = _complete_bipartite(small, total)
         min_degree = int(g.degrees.min())
         e_h = 0.1
         rho_h = 1.2 * (1.0 - e_h) / min_degree

@@ -412,17 +412,25 @@ def test_random_gnp_builds_only_the_accepted_draw(monkeypatch):
             break
     assert draws > 1  # the seed rejects at least one draw
 
-    built = []
+    # the accepted draw alone is built, through the trusted door
+    trusted, validated = [], []
+    door = Network._trusted.__func__
     post_init = Network.__post_init__
 
-    def counting(self):
-        built.append(self)
+    def counting_door(cls, *args):
+        trusted.append(door(cls, *args))
+        return trusted[-1]
+
+    def counting_post_init(self):
+        validated.append(self)
         post_init(self)
 
-    monkeypatch.setattr(Network, "__post_init__", counting)
+    monkeypatch.setattr(Network, "_trusted", classmethod(counting_door))
+    monkeypatch.setattr(Network, "__post_init__", counting_post_init)
     rng = np.random.default_rng(1)
     g = _random_gnp(rng, 10, 0.25)
-    assert built == [g]
+    assert trusted == [g]
+    assert validated == []
     assert g.edges() == expected.edges()
     # the same number of uniforms was consumed
     assert rng.random() == old_rng.random()

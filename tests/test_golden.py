@@ -2,7 +2,7 @@
 
 Every optimisation must leave these outputs bit-identical for the same
 seeds: snapshot stacks under all four rules, the README ``simulate`` trace
-CSV, small sweep CSV/PPM files and ``verify`` reports. The digests were
+CSV, small sweep CSV/PPM files, ``verify`` reports and written edge lists. The digests were
 taken from the per-player cost-matrix stepper, before the decision-table
 stepper replaced it; a changed digest means a changed result. The
 large-network stacks, 60x50 torus and 3,000-vertex 5-regular graph, were
@@ -33,6 +33,7 @@ from peerpressure import (
     sample_random_regular,
 )
 from peerpressure.cli import main
+from peerpressure.graphs import write_edge_list
 
 from conftest import random_connected_gnp
 
@@ -84,6 +85,17 @@ LARGE_SNAPSHOT_DIGESTS = {
     ("two-order-greedy", "torus60x50"): "3b3429086bcff5852b4bfc237d1a45d45415db0626f5b756e7ba5a58b808beba",
     ("two-order-greedy", "regular3000"): "faf370d8f7f7f37cd37ccc724a84a9b8dffb796a5cea1b7f706094903c621bcc",
 }
+
+# edge lists written by ``generate`` and by ``write_edge_list`` for one
+# vertex without edges, pinned from the writer that formatted one Python
+# tuple per edge
+EDGE_LIST_DIGESTS = {
+    ("generate", "--torus", "7", "4"):
+        "b6191c95e9f4b06f9781167266edfcfe5cd5575643515858245e367b2fa6808f",
+    ("generate", "--regular", "20", "3", "--seed", "4"):
+        "2a282122948b6af8538517b35b26623f8a09d75f921398f25681439a0afe04d6",
+}
+SINGLE_VERTEX_EDGE_LIST_DIGEST = "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"
 
 SIMULATE_DIGEST = "269f7992714fdc834b3d263ea1660b63a0cadc691a720ecf9be0311bd0c40ce1"
 
@@ -186,6 +198,19 @@ def test_readme_simulate_trace(tmp_path, capsys):
                  "--rho-d", "0.45", "--epsilon", "0.01", "--rounds", "200",
                  "--early-stop", "--seed", "0", "--out", str(out)]) == 0
     assert file_digest(out) == SIMULATE_DIGEST
+
+
+@pytest.mark.parametrize("argv", sorted(EDGE_LIST_DIGESTS))
+def test_generated_edge_list(argv, tmp_path, capsys):
+    out = tmp_path / "net.edges"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert file_digest(out) == EDGE_LIST_DIGESTS[argv]
+
+
+def test_single_vertex_edge_list(tmp_path):
+    out = tmp_path / "one.edges"
+    write_edge_list(Network.from_edges(1, []), str(out))
+    assert file_digest(out) == SINGLE_VERTEX_EDGE_LIST_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))

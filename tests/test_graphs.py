@@ -188,6 +188,47 @@ class TestTorus:
             assert bool(calls) == searched, name
 
 
+class TestTrustedBuilders:
+    """Every network built through the trusted door equals the one the
+    validating constructor makes from its edges."""
+
+    @staticmethod
+    def assert_validated_equal(g):
+        want = Network.from_edges(g.vertex_count, g.edges())
+        for name in ("indptr", "indices", "degrees"):
+            got, expected = getattr(g, name), getattr(want, name)
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
+        assert g.regular_degree == want.regular_degree
+        assert g.torus_shape() == want.torus_shape()
+        assert g.is_connected() == want.is_connected()
+
+    @pytest.mark.parametrize("w, h", [(w, h) for w in range(3, 11) for h in range(3, 11)]
+                             + [(60, 50), (59, 47), (60, 3), (3, 50), (31, 4), (11, 50)])
+    def test_torus(self, w, h):
+        g = build_torus_grid(w, h)
+        assert g.torus_shape() == (w, h) and g.is_connected()
+        self.assert_validated_equal(g)
+
+    def test_suite_families(self):
+        from peerpressure.suites import _complete, _complete_bipartite, _cycle, _random_gnp
+
+        rng = np.random.default_rng(22)
+        for n in range(3, 61):
+            self.assert_validated_equal(_cycle(n))
+            self.assert_validated_equal(_complete(n))
+            self.assert_validated_equal(_complete_bipartite(1 + 7 * n % (n - 1), n))
+            for p in (None, 0.08, 0.4, 0.9):
+                self.assert_validated_equal(_random_gnp(rng, n, p))
+
+    def test_oscillation_graphs_are_the_listed_bipartite_graphs(self):
+        from peerpressure.suites import _complete_bipartite
+
+        for small, total in [(3, 10), (5, 16)]:
+            g = _complete_bipartite(small, total)
+            assert g.edges() == [(u, v) for u in range(small) for v in range(small, total)]
+
+
 class TestRandomRegular:
     def test_regular_by_construction(self):
         g = sample_random_regular(50, 5, np.random.default_rng(3))
