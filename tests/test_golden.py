@@ -2,12 +2,14 @@
 
 Every optimisation must leave these outputs bit-identical for the same
 seeds: snapshot stacks under all four rules, the README ``simulate`` trace
-CSV, small sweep CSV/PPM files, ``verify`` reports and written edge lists. The digests were
-taken from the per-player cost-matrix stepper, before the decision-table
-stepper replaced it; a changed digest means a changed result. The
-large-network stacks, 60x50 torus and 3,000-vertex 5-regular graph, were
-pinned from the decision-table stepper with the torus slice stencil, before
-behaviour lookups on large networks changed form. The ``regular-ties`` sweep
+CSV, small sweep CSV/PPM files, ``verify`` reports and written edge lists.
+The digests were taken from the per-player cost-matrix stepper, before the
+decision-table stepper replaced it; a changed digest means a changed
+result. The large-network stacks, 60x50 torus and 3,000-vertex 5-regular
+graph, were pinned from the decision-table stepper with the torus slice
+stencil, before behaviour lookups on large networks changed form. The
+edge lists were pinned from the writer that formatted one Python tuple
+per edge. The ``regular-ties`` sweep
 and the two-order grid, whose runs mostly repeat long before their round
 budget, were pinned from runs that stepped every round.
 
@@ -86,9 +88,8 @@ LARGE_SNAPSHOT_DIGESTS = {
     ("two-order-greedy", "regular3000"): "faf370d8f7f7f37cd37ccc724a84a9b8dffb796a5cea1b7f706094903c621bcc",
 }
 
-# edge lists written by ``generate`` and by ``write_edge_list`` for one
-# vertex without edges, pinned from the writer that formatted one Python
-# tuple per edge
+# edge lists written by ``generate``, and by ``write_edge_list`` for one
+# vertex without edges
 EDGE_LIST_DIGESTS = {
     ("generate", "--torus", "7", "4"):
         "b6191c95e9f4b06f9781167266edfcfe5cd5575643515858245e367b2fa6808f",

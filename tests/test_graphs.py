@@ -221,13 +221,6 @@ class TestTrustedBuilders:
             for p in (None, 0.08, 0.4, 0.9):
                 self.assert_validated_equal(_random_gnp(rng, n, p))
 
-    def test_oscillation_graphs_are_the_listed_bipartite_graphs(self):
-        from peerpressure.suites import _complete_bipartite
-
-        for small, total in [(3, 10), (5, 16)]:
-            g = _complete_bipartite(small, total)
-            assert g.edges() == [(u, v) for u in range(small) for v in range(small, total)]
-
 
 class TestRandomRegular:
     def test_regular_by_construction(self):
