@@ -75,7 +75,8 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
     with parameters outside the window, where the bound claims nothing.
     ``initial`` is read as given, before any cast, as :func:`run` reads it:
     it must be ``(n,)`` main-model codes whose behaviour counts are
-    ``trace.counts[0]``, else ``ValueError``.
+    ``trace.counts[0]``, else ``ValueError``. The sides of a bipartite
+    network are the ``metrics.bipartition`` mask and its complement.
     """
     if trace.rule.kind is not RuleKind.MAIN_GREEDY:
         raise CheckRefused(f"bound audit requires the greedy main rule, got {trace.rule.kind.value}")
@@ -90,8 +91,8 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
         raise ValueError("initial configuration does not match the trace's round 0")
     nondefector = initial != Behavior.DEFECTOR
     if metrics.bipartition is not None:
-        side_a, side_b = metrics.bipartition
-        applicable = bool(nondefector[list(side_a)].any() and nondefector[list(side_b)].any())
+        odd = metrics.bipartition
+        applicable = bool(nondefector[odd].any() and nondefector[~odd].any())
     else:
         applicable = bool(nondefector.any())
     bound = convergence_bound(metrics)

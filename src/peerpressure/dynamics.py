@@ -37,13 +37,13 @@ its neighbours currently punishing, and ``k`` never exceeds the maximum
 degree. :func:`decision_table` therefore evaluates the model's cost
 functions (:func:`~peerpressure.model.cost_main`,
 :func:`~peerpressure.model.cost_two_order`) once over the array of every
-``k`` in ``0..max_degree`` and records the first-preference cheapest
-behaviour, the number of tied cheapest behaviours and the tied behaviours
-in preference order. :func:`run` alone validates its input and builds one
-table per run for the network's maximum degree; :func:`step` reads the
-parameters and the rule from that table and trusts its configuration. The
-costs are affine in ``k``, so the choice is piecewise constant, changing
-by ``delta`` at a few breakpoints ``j``. A round counts ``k`` for every
+``k`` in ``0..max_degree`` and records the number of tied cheapest
+behaviours and the behaviours in preference order, cheapest first.
+:func:`run` alone validates its input and builds one table per run for the
+network's maximum degree; :func:`step` reads the rule and the best
+responses from that table and trusts its configuration. The costs are
+affine in ``k``, so the choice is piecewise constant, changing by
+``delta`` at a few breakpoints ``j``. A round counts ``k`` for every
 player, builds the choice as the choice at ``k = 0`` plus ``delta``
 wherever ``k >= j`` (one ``int8`` compare and add per breakpoint, with no
 index conversion of ``k``), and resolves ties only for players whose ``k``
@@ -258,18 +258,17 @@ class DecisionTable:
     Row ``k`` of ``tied`` lists the behaviour codes in preference order
     with the cheapest ones first, so ``tied[k, 0]`` is the first-preference
     choice and ``tied[k, :n_min[k]]`` are the behaviours tied at the
-    minimum cost. ``codes`` holds the rule's behaviours in preference order.
-    ``breakpoints`` lists ``(j, delta)`` for every ``k = j`` where the
-    choice changes, ``delta = choice[j] - choice[j - 1]`` (negative where
-    codes go down), so ``choice[k]`` is ``choice[0]`` plus the ``delta`` of
-    every ``j <= k``. The arrays are read-only: runs with equal parameters,
-    rule and maximum degree share one table.
+    minimum cost; ``is_tied``, ``n_min > 1``, is kept for :func:`step`'s
+    per-player ``take``. ``codes`` holds the rule's behaviours in preference
+    order. ``breakpoints`` lists ``(j, delta)`` for every ``k = j`` where
+    the choice changes by ``delta`` (negative where codes go down), so the
+    choice at ``k`` is ``tied[0, 0]`` plus the ``delta`` of every ``j <= k``.
+    The arrays are read-only: runs with equal parameters, rule and maximum
+    degree share one table.
     """
 
-    params: MainParams | TwoOrderParams
     rule: UpdateRule
     codes: np.ndarray
-    choice: np.ndarray
     n_min: np.ndarray
     is_tied: np.ndarray
     tied: np.ndarray
@@ -298,15 +297,13 @@ def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
     n_min = is_min.sum(axis=0)
     # a stable sort keeps preference order within the cheapest and the rest
     tied = codes[np.argsort(~is_min, axis=0, kind="stable")].T.copy()
-    choice = tied[:, 0].copy()
-    by_k = choice.tolist()
+    by_k = tied[:, 0].tolist()
     breakpoints = tuple((j, by_k[j] - by_k[j - 1])
                         for j in range(1, len(by_k)) if by_k[j] != by_k[j - 1])
-    arrays = {"codes": codes, "choice": choice, "n_min": n_min, "is_tied": n_min > 1,
-              "tied": tied}
+    arrays = {"codes": codes, "n_min": n_min, "is_tied": n_min > 1, "tied": tied}
     for array in arrays.values():
         array.flags.writeable = False
-    return DecisionTable(params=params, rule=rule, breakpoints=breakpoints, **arrays)
+    return DecisionTable(rule=rule, breakpoints=breakpoints, **arrays)
 
 
 def _interval_pick(r: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -322,13 +319,13 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
     """One synchronous revision round; returns the next configuration.
 
     Every player looks up the cheapest behaviours available under
-    ``table.rule`` with ``table.params`` for its punishing-neighbour count
-    in ``config`` (see :func:`decision_table`) and adopts one, resolving
+    ``table.rule`` for its punishing-neighbour count in ``config`` (see
+    :func:`decision_table`) and adopts one, resolving
     exact-tie sets through ``ties``, a :class:`numpy.random.Generator` or
     any object whose ``random(size)`` returns the next ``size`` uniforms:
     the noisy rule first takes ``ties.random(n)`` noise draws, then one
-    call takes a tie draw per tied player in ascending index. The
-    first-preference choice is summed from ``table.breakpoints``.
+    call takes a tie draw per tied player in ascending index. The choice is
+    ``table.tied[0, 0]`` plus the jumps of ``table.breakpoints``.
 
     ``step`` takes uniforms from ``ties`` only through ``random`` calls,
     and under a greedy rule only when some player's count is tied, so the
@@ -355,8 +352,8 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
             out += jumped
     if out is None:
         out = np.zeros(n, dtype=np.int8)
-    if table.choice[0]:
-        out += table.choice[0]
+    if table.tied[0, 0]:
+        out += table.tied[0, 0]
 
     if noisy:
         noise = ties.random(n)

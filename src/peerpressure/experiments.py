@@ -262,10 +262,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> PhaseDiagram:
 
     Cell seeds are derived from the master seed and the cell's indices, so
     scheduling order cannot influence any cell's result; parallel runs
-    only change wall-clock time.
+    only change wall-clock time. A pool gets at most one worker per cell.
     """
     rows, cols = zip(*itertools.product(range(spec.e_h_count), range(spec.rho_h_count)))
     specs = itertools.repeat(spec)  # map stops at the shortest sequence
+    workers = min(workers, len(rows))  # a pool starts all its workers at once
     if workers <= 1:
         results = list(map(_run_cell, specs, rows, cols))
     else:

@@ -46,26 +46,24 @@ class Network:
     trusted door instead, ``Network._trusted`` (or ``_from_adjacency``),
     which takes arrays already in final form and checks nothing.
 
-    ``degrees`` and ``regular_degree`` are set once on construction; an
-    arc's source is read from ``indptr``, not stored, so ``indices`` is the
-    only per-arc array kept. Whether the network is exactly a row-major
-    torus, :meth:`torus_shape`, is set by :func:`build_torus_grid` or worked
-    out on first use and cached; a recognised torus is connected and has
-    closed-form metrics, so it is never searched.
+    ``degrees`` is set once on construction; an arc's source is read from
+    ``indptr``, not stored, so ``indices`` is the only per-arc array kept.
+    Whether the network is exactly a row-major torus, :meth:`torus_shape`,
+    is set by :func:`build_torus_grid` or worked out on first use and
+    cached; a recognised torus is connected and has closed-form metrics, so
+    it is never searched.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     degrees: np.ndarray = field(init=False, repr=False)
-    #: The degree shared by every vertex; None if degrees differ or n = 0.
-    regular_degree: int | None = field(init=False, repr=False)
     _connected: bool | None = field(default=None, init=False, repr=False)
     #: (width, height) once recognised as a torus, () once ruled out.
     _torus: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
+        indptr = _int64_array(self.indptr)
+        indices = _int64_array(self.indices)
         if (indptr.ndim != 1 or indices.ndim != 1 or indptr.size == 0 or indptr[0] != 0
                 or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any()):
             raise ValueError("indptr must start at 0, never decrease and end at len(indices)")
@@ -94,7 +92,6 @@ class Network:
         self.indptr = indptr
         self.indices = keys - row_base
         self.degrees = degrees
-        self.regular_degree = _common_degree(degrees)
 
     @classmethod
     def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, connected: bool | None,
@@ -110,19 +107,18 @@ class Network:
         network.indptr = indptr
         network.indices = indices
         network.degrees = indptr[1:] - indptr[:-1]
-        network.regular_degree = _common_degree(network.degrees)
         network._connected = connected
         network._torus = torus
         return network
 
     @classmethod
-    def _from_adjacency(cls, adjacency: np.ndarray, connected: bool | None) -> "Network":
-        """Trusted network from a symmetric boolean adjacency matrix with a
-        false diagonal; ``np.nonzero`` lists each row's columns sorted."""
+    def _from_adjacency(cls, adjacency: np.ndarray) -> "Network":
+        """Trusted network, marked connected, from the symmetric boolean
+        adjacency matrix of a connected graph, with a false diagonal."""
         indptr = np.zeros(adjacency.shape[0] + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(adjacency, axis=1), out=indptr[1:])
         return cls._trusted(indptr, np.nonzero(adjacency)[1].astype(np.int64, copy=False),
-                            connected, None)
+                            True, None)
 
     @property
     def vertex_count(self) -> int:
@@ -161,26 +157,27 @@ class Network:
         width``, so a per-vertex array reshaped to ``(height, width)`` is the
         grid itself. :func:`build_torus_grid` records its shape. Any other
         network is recognised from its CSR arrays alone, so a torus read back
-        from an edge list is recognised too: only a 4-regular network is
-        checked, its width is vertex 0's third-smallest neighbour (its sorted
-        neighbours are ``1, width - 1, width, n - width``), and every row must
-        then equal the torus's. Checked on the first call and cached.
+        from an edge list is recognised too: only a 4-regular network of at
+        least 9 vertices is checked, its width is vertex 0's third-smallest
+        neighbour (its sorted neighbours are ``1, width - 1, width, n -
+        width``), and every row must then equal the torus's. Checked on the
+        first call; every later call reads the cache.
         """
-        if self.regular_degree != 4:
-            return None
         if self._torus is None:
             self._torus = ()
-            width = int(self.indices[2])
-            height = self.vertex_count // width
-            if (width >= 3 and height >= 3 and width * height == self.vertex_count
-                    and np.array_equal(_torus_rows(width, height).ravel(), self.indices)):
-                self._torus = (width, height)
+            n = self.vertex_count
+            if n >= 9 and (self.degrees == 4).all():
+                width = int(self.indices[2])
+                height = n // width
+                if (width >= 3 and height >= 3 and width * height == n
+                        and np.array_equal(_torus_rows(width, height).ravel(), self.indices)):
+                    self._torus = (width, height)
         return self._torus or None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Network":
         """Network on ``n`` vertices from ``m`` edges, an ``(m, 2)`` array or a list of pairs."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = _int64_array(edges).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             u, v = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -192,23 +189,30 @@ class Network:
         return cls(indptr, edges[:, ::-1].ravel()[order])
 
 
-def _common_degree(degrees: np.ndarray) -> int | None:
-    """The degree shared by every vertex; None if degrees differ or n = 0."""
-    return int(degrees[0]) if degrees.size and bool((degrees == degrees[0]).all()) else None
+def _int64_array(values) -> np.ndarray:
+    """``values`` as int64; a float that is no whole int64 (1.7, NaN, inf)
+    raises ``ValueError`` naming it instead of being truncated."""
+    array = np.asarray(values)
+    if array.dtype.kind == "f":
+        bad = np.flatnonzero((array != np.trunc(array)) | ~(np.abs(array) < 2.0 ** 63))
+        if bad.size:
+            raise ValueError(f"{array.flat[bad[0]]} is not a whole number in the int64 range")
+    return array.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphMetrics:
     """Structural summary of a connected network.
 
-    Exactly one of ``bipartition`` and ``odd_girth`` is set: bipartite
-    graphs carry their two vertex classes (the class containing vertex 0
-    first), non-bipartite graphs carry the length of a shortest odd cycle.
+    Exactly one of ``bipartition`` and ``odd_girth`` is set: a bipartite
+    graph carries its two vertex classes as one boolean ``(n,)`` mask, True
+    at odd distance from vertex 0, and a non-bipartite graph the length of
+    a shortest odd cycle. Metrics compare by identity (``eq=False``).
     """
 
     diameter: int
     min_degree: int
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
+    bipartition: np.ndarray | None
     odd_girth: int | None
 
     @property
@@ -379,7 +383,7 @@ def compute_metrics(network: Network) -> GraphMetrics:
     minimum, and the minimum over chunks is exact: later chunks only
     check levels that could still beat it. The graph is bipartite exactly
     when no level closes an odd walk, and then the parity of each vertex's
-    level from source 0 gives the two classes (vertex 0's class first).
+    level from source 0 is the bipartition mask.
     """
     n = network.vertex_count
     if n == 0:
@@ -396,7 +400,7 @@ def compute_metrics(network: Network) -> GraphMetrics:
         width, height = shape
         diameter = width // 2 + height // 2
         odd_girth = min((side for side in shape if side % 2), default=None)
-        odd_level = ((np.arange(height)[:, None] + np.arange(width)) % 2 == 1).ravel()
+        odd_level = ((np.arange(height) % 2 == 1)[:, None] ^ (np.arange(width) % 2 == 1)).ravel()
     # A recognised torus needs no search. reduceat cannot take empty rows,
     # and in a connected network only a single vertex has one; its metrics
     # are the initial values.
@@ -419,14 +423,10 @@ def compute_metrics(network: Network) -> GraphMetrics:
                 odd_level |= (front & 1).astype(bool)
         diameter = max(diameter, level)
 
-    bipartition = None
-    if odd_girth is None:
-        bipartition = (tuple(np.flatnonzero(~odd_level).tolist()),
-                       tuple(np.flatnonzero(odd_level).tolist()))
     return GraphMetrics(
         diameter=diameter,
         min_degree=int(network.degrees.min()),
-        bipartition=bipartition,
+        bipartition=odd_level if odd_girth is None else None,
         odd_girth=odd_girth,
     )
 

@@ -70,18 +70,18 @@ def _random_connected_network(rng: np.random.Generator, max_n: int) -> Network:
 def _cycle(n: int) -> Network:
     """The cycle 0 - 1 - ... - (n - 1) - 0, for n >= 3."""
     succ = np.eye(n, k=1, dtype=bool) | np.eye(n, k=1 - n, dtype=bool)
-    return Network._from_adjacency(succ | succ.T, True)
+    return Network._from_adjacency(succ | succ.T)
 
 
 def _complete(n: int) -> Network:
     """The complete graph on n >= 2 vertices."""
-    return Network._from_adjacency(~np.eye(n, dtype=bool), True)
+    return Network._from_adjacency(~np.eye(n, dtype=bool))
 
 
 def _complete_bipartite(small: int, total: int) -> Network:
     """K(small, total - small): vertices below ``small`` form one side."""
     side = np.arange(total) < small
-    return Network._from_adjacency(side[:, None] != side, True)
+    return Network._from_adjacency(side[:, None] != side)
 
 
 # Strict upper triangle of the largest n drawn so far; its top-left n x n
@@ -116,7 +116,7 @@ def _random_gnp(rng: np.random.Generator, n: int, p: float | None = None) -> Net
             reached |= adjacency[reached].any(axis=0)
             grown = np.count_nonzero(reached)
         if count == n:
-            return Network._from_adjacency(adjacency, True)
+            return Network._from_adjacency(adjacency)
 
 
 def _plant_nondefectors(config: np.ndarray, rng: np.random.Generator) -> np.ndarray:

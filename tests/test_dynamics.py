@@ -1,7 +1,7 @@
 """The synchronous engine: draws, ties, stepping, running, traces."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -648,7 +648,7 @@ ISOLATED = {
 def test_punishing_counts_match_python_count(graphs, graph_name):
     g = ISOLATED[graph_name] if graph_name in ISOLATED else graphs[graph_name]
     regular = graph_name not in ("gnp", "wheel", *ISOLATED)
-    assert (g.regular_degree is not None) == regular
+    assert bool((g.degrees == g.degrees[0]).all()) == regular
     stencil = graph_name.startswith("torus")
     rng = np.random.default_rng(9)
     configs = [rng.integers(0, 4, size=g.vertex_count).astype(np.int8),
@@ -701,7 +701,7 @@ def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name,
     slow = reference_step(g, config, params, values, rule=rule)
     assert fast.tolist() == slow
     # the choice is summed from breakpoints, and ties are decided
-    table = decision_table(params, rule, g.regular_degree)
+    table = table_for(g, params, rule)
     assert table.breakpoints
     k = punishing_counts(g, config)
     assert table.is_tied.take(k).any() == (param_set == "tie-rich")
@@ -742,7 +742,7 @@ class TestPunishingPath:
             "1000x3": (build_torus_grid(1000, 3), (1000, 3), True),
         }
         for name, (g, shape, stencil) in cases.items():
-            assert g.regular_degree == 4, name
+            assert set(g.degrees.tolist()) == {4}, name
             calls.clear()
             init = np.full(g.vertex_count, C, dtype=np.int8)
             run(g, init, grid_params, UpdateRule.main_greedy(), np.random.default_rng(0), 2)
@@ -766,7 +766,7 @@ class TestDecisionTable:
     def test_ties_are_listed_in_preference_order(self):
         table = decision_table(LOW_TIES[0], UpdateRule.main_greedy(), 4)
         # k=0: D (cost 0); k=2: C = H = D at cost 1
-        assert table.choice.tolist()[:3] == [D, D, C]
+        assert table.tied[:3, 0].tolist() == [D, D, C]
         assert table.n_min.tolist() == [1, 1, 3, 1, 1]
         assert table.tied[2].tolist() == [C, H, D]
 
@@ -775,7 +775,10 @@ class TestDecisionTable:
         table = decision_table(MainParams(0.5, 0.25, 0.5), rule, 4)
         assert decision_table(MainParams(0.5, 0.25, 0.5), rule, 4) is table
         assert decision_table(MainParams(0.5, 0.25, 0.5), rule, 5) is not table
-        for array in (table.codes, table.choice, table.n_min, table.is_tied, table.tied):
+        arrays = [getattr(table, f.name) for f in fields(table)
+                  if isinstance(getattr(table, f.name), np.ndarray)]
+        assert len(arrays) == 4  # codes, n_min, is_tied, tied
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -792,7 +795,7 @@ class TestDecisionTable:
                                         rho_h=float(rng.choice(dyadic)),
                                         rho_d=float(rng.choice(dyadic)))
                 table = decision_table(params, rule, 12)
-                choice = table.choice.tolist()
+                choice = table.tied[:, 0].tolist()
                 for k in range(13):
                     rebuilt = choice[0] + sum(delta for j, delta in table.breakpoints if k >= j)
                     assert rebuilt == choice[k], (rule_name, params, k)
@@ -809,10 +812,10 @@ class TestDecisionTable:
         assert not table.is_tied.any()
         g = build_torus_grid(7, 5)
         config = np.random.default_rng(7).integers(0, 3, g.vertex_count).astype(np.int8)
-        looked_up = table.choice.take(punishing_counts(g, config))
-        assert (looked_up != table.choice[0]).any()
+        looked_up = table.tied[:, 0].take(punishing_counts(g, config))
+        assert (looked_up != table.tied[0, 0]).any()
         assert np.array_equal(step(g, config, table, None), looked_up)
         # a table copied without breakpoints shows that step reads them
         blank = replace(table, breakpoints=())
         out = step(g, config, blank, None)
-        assert np.array_equal(out, np.full(g.vertex_count, table.choice[0]))
+        assert np.array_equal(out, np.full(g.vertex_count, table.tied[0, 0]))

@@ -221,6 +221,51 @@ class TestRunSweep:
             run_sweep(spec, workers=2)
         assert multiprocessing.active_children() == []
 
+    def test_pool_gets_at_most_one_worker_per_cell(self, monkeypatch, tmp_path, capsys):
+        # a fork pool starts every worker at the first submit, so a small grid
+        # must not ask for more workers than it has cells; the stub maps
+        # in-process and records what the pool was asked for
+        import json
+
+        import peerpressure.experiments as experiments
+        from peerpressure.cli import main
+
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        spec = _tiny_spec(e_h_count=2, rho_h_count=2)
+        want = format_sweep_csv(run_sweep(spec, workers=1))
+        assert requested == []
+        for workers, pool in [(2, 2), (3, 3), (4, 4), (64, 4)]:
+            requested.clear()
+            assert format_sweep_csv(run_sweep(spec, workers=workers)) == want
+            assert requested == [pool], workers
+        # a single cell runs in this process, without a pool
+        requested.clear()
+        run_sweep(_tiny_spec(e_h_count=1, rho_h_count=1), workers=8)
+        assert requested == []
+        # the effective config keeps the requested count
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(spec.to_dict()))
+        requested.clear()
+        assert main(["sweep", str(cfg), "--out-prefix", str(tmp_path / "p"),
+                     "--workers", "9"]) == 0
+        assert requested == [4]
+        assert '"workers": 9' in capsys.readouterr().out
+
 
 class TestOutputFormats:
     def test_csv_header_and_round_trip(self):

@@ -68,6 +68,31 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range"):
             Network.from_edges(2, [(0, 1), (-1, 0)])
 
+    @pytest.mark.parametrize("build, value", [
+        (lambda: Network.from_edges(3, [(0, 1.7), (1, 2.2)]), "1.7"),
+        (lambda: Network([0, 1, 2], [1.9, 0.3]), "1.9"),
+        (lambda: Network([0, 1.5, 2], [1, 0]), "1.5"),
+        (lambda: Network.from_edges(2, [(0, 1), (float("nan"), 1)]), "nan"),
+        (lambda: Network([0, 1, 2], [float("inf"), 0]), "inf"),
+        (lambda: Network.from_edges(2, [(0, -float("inf"))]), "-inf"),
+        (lambda: Network.from_edges(2, [(0, 1e300)]), "1e+300"),
+    ])
+    def test_rejects_values_that_are_not_whole(self, build, value):
+        # the int64 cast would truncate them (1.7 -> 1) or warn (NaN, inf)
+        with pytest.raises(ValueError, match=f"^{re.escape(value)} is not a whole number"):
+            build()
+
+    def test_whole_numbers_of_any_dtype_build(self):
+        want = Network.from_edges(3, [(0, 1), (1, 2)])
+        for g in (Network.from_edges(3, [(0, 1.0), (1, 2.0)]),
+                  Network.from_edges(3, np.array([[0, 1], [1, 2]], dtype=np.int32)),
+                  Network([0.0, 1.0, 3.0, 4.0], [1.0, 0.0, 2.0, 1.0])):
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert np.array_equal(g.indptr, want.indptr)
+            assert np.array_equal(g.indices, want.indices)
+        assert Network([0, 0], []).vertex_count == 1
+        assert Network.from_edges(2, []).edge_count == 0
+
     def test_sorts_adjacency(self):
         g = Network([0, 2, 3, 4], [2, 1, 0, 0])
         assert g.neighbors(0) == [1, 2]
@@ -93,7 +118,7 @@ def test_is_connected():
     # 4-regular like a torus, but two components
     k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     two_k5 = Network.from_edges(10, k5 + [(u + 5, v + 5) for u, v in k5])
-    assert two_k5.regular_degree == 4
+    assert set(two_k5.degrees.tolist()) == {4}
     assert not two_k5.is_connected()
 
 
@@ -125,8 +150,17 @@ class TestTorus:
 
     def test_other_four_regular_graphs_have_no_torus_shape(self):
         k5 = Network.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-        assert k5.regular_degree == 4 and k5.torus_shape() is None
+        assert set(k5.degrees.tolist()) == {4} and k5.torus_shape() is None
         assert Network.from_edges(3, [(0, 1), (1, 2), (2, 0)]).torus_shape() is None
+        # 4-regular on 10 and 12 vertices, with no torus rows
+        two_k5 = Network.from_edges(10, [(u + 5 * c, v + 5 * c) for c in (0, 1)
+                                         for u in range(5) for v in range(u + 1, 5)])
+        circulant = Network.from_edges(12, [(u, (u + s) % 12) for u in range(12) for s in (1, 5)])
+        for g in (two_k5, circulant):
+            assert set(g.degrees.tolist()) == {4} and g.torus_shape() is None
+        # ruled out once: later calls read the cache
+        assert circulant._torus == ()
+        assert Network([0, 0], []).torus_shape() is None
 
     @given(w=st.integers(3, 10), h=st.integers(3, 10))
     @settings(max_examples=25, deadline=None)
@@ -142,9 +176,9 @@ class TestTorus:
     def test_even_torus_bipartition_is_balanced(self):
         m = compute_metrics(build_torus_grid(4, 6))
         assert m.is_bipartite
-        side_a, side_b = m.bipartition
-        assert len(side_a) == len(side_b) == 12
-        assert 0 in side_a  # vertex 0's class listed first
+        assert m.bipartition.dtype == bool and m.bipartition.shape == (24,)
+        assert np.count_nonzero(m.bipartition) == 12
+        assert not m.bipartition[0]  # True marks odd distance from vertex 0
 
     def test_width_three_torus_has_triangle_girth(self):
         assert compute_metrics(build_torus_grid(3, 6)).odd_girth == 3
@@ -157,7 +191,14 @@ class TestTorus:
                 searched = Network(g.indptr, g.indices)
                 searched._torus = ()
                 assert searched.torus_shape() is None
-                assert compute_metrics(g) == compute_metrics(searched), (width, height)
+                closed, found = compute_metrics(g), compute_metrics(searched)
+                for name in ("diameter", "min_degree", "odd_girth"):
+                    assert getattr(closed, name) == getattr(found, name), (width, height, name)
+                if found.bipartition is None:
+                    assert closed.bipartition is None, (width, height)
+                else:
+                    assert closed.bipartition.dtype == found.bipartition.dtype == bool
+                    assert np.array_equal(closed.bipartition, found.bipartition), (width, height)
 
     def test_no_search_on_a_torus(self, tmp_path, monkeypatch):
         import peerpressure.graphs as graphs
@@ -199,7 +240,6 @@ class TestTrustedBuilders:
             got, expected = getattr(g, name), getattr(want, name)
             assert got.dtype == expected.dtype, name
             assert np.array_equal(got, expected), name
-        assert g.regular_degree == want.regular_degree
         assert g.torus_shape() == want.torus_shape()
         assert g.is_connected() == want.is_connected()
 
@@ -287,7 +327,7 @@ class TestMetrics:
     def test_even_cycle(self, cycle6):
         m = compute_metrics(cycle6)
         assert (m.diameter, m.odd_girth) == (3, None)
-        assert m.bipartition == ((0, 2, 4), (1, 3, 5))
+        assert m.bipartition.tolist() == [False, True] * 3
 
     def test_complete_graph(self):
         g = Network.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -301,9 +341,10 @@ class TestMetrics:
     def test_trivial_networks(self):
         # a single vertex has no arcs at all, which the level sweep must not reach
         m = compute_metrics(Network([0, 0], []))
-        assert (m.diameter, m.min_degree, m.bipartition, m.odd_girth) == (0, 0, ((0,), ()), None)
+        assert (m.diameter, m.min_degree, m.odd_girth) == (0, 0, None)
+        assert m.bipartition.tolist() == [False]
         m = compute_metrics(Network.from_edges(2, [(0, 1)]))
-        assert (m.diameter, m.bipartition, m.odd_girth) == (1, ((0,), (1,)), None)
+        assert (m.diameter, m.bipartition.tolist(), m.odd_girth) == (1, [False, True], None)
 
     def test_no_per_source_bfs(self, monkeypatch, cycle6):
         # all sources are searched at once; the bipartition needs no extra BFS
@@ -316,7 +357,7 @@ class TestMetrics:
                             lambda g, s: sources.append(s) or real(g, s))
         m = compute_metrics(cycle6)
         assert sources == []
-        assert m.bipartition == ((0, 2, 4), (1, 3, 5))
+        assert m.bipartition.tolist() == [False, True] * 3
 
     @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
     def test_cycles_across_chunks(self, n):
@@ -327,7 +368,7 @@ class TestMetrics:
             assert (m.odd_girth, m.bipartition) == (n, None)
         else:
             assert m.odd_girth is None
-            assert m.bipartition == (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+            assert m.bipartition.tolist() == [v % 2 == 1 for v in range(n)]
 
     def test_odd_torus_across_chunks(self):
         m = compute_metrics(build_torus_grid(9, 13))  # n = 117
@@ -338,8 +379,7 @@ class TestMetrics:
         parity = [(v % 10 + v // 10) % 2 for v in range(120)]
         assert m.odd_girth is None
         assert m.diameter == 11
-        assert m.bipartition == (tuple(v for v in range(120) if parity[v] == 0),
-                                 tuple(v for v in range(120) if parity[v] == 1))
+        assert m.bipartition.tolist() == [p == 1 for p in parity]
 
     def test_extremes_seen_only_by_a_later_chunk(self):
         # A path of 130 vertices whose middle 64 carry labels 0..63, with a
