@@ -9,7 +9,8 @@ result. The large-network stacks, 60x50 torus and 3,000-vertex 5-regular
 graph, were pinned from the decision-table stepper with the torus slice
 stencil, before behaviour lookups on large networks changed form. The
 edge lists were pinned from the writer that formatted one Python tuple
-per edge. The ``regular-ties`` sweep
+per edge. The decision tables were pinned from the per-behaviour cost
+functions, before one coefficient table replaced them. The ``regular-ties`` sweep
 and the two-order grid, whose runs mostly repeat long before their round
 budget, were pinned from runs that stepped every round.
 
@@ -30,6 +31,7 @@ from peerpressure import (
     TwoOrderParams,
     UpdateRule,
     build_torus_grid,
+    decision_table,
     run,
     sample_initial_two_order,
     sample_random_regular,
@@ -156,6 +158,40 @@ def two_order_grid_digest() -> str:
     return digest.hexdigest()
 
 
+# Every field of the decision table for all four rules, counts 0..12, over
+# a dyadic grid, where cost comparisons tie exactly, and 200 seeded random
+# parameter sets per model.
+TABLE_DIGEST = "9723c02a7cb8a5101d7aa4c4378330d58e9f0708f6c92c0d2dafe9357f4f28f4"
+DYADIC = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+
+
+def table_params():
+    rng = np.random.default_rng(24)
+    main = [MainParams(*p) for p in itertools.product(DYADIC, repeat=3)
+            if p[0] <= 1.0 and p[2] > 0.0]
+    main += [MainParams(rng.random(), 2.0 * rng.random(), 2.0 - 2.0 * rng.random())
+             for _ in range(200)]
+    two_order = [TwoOrderParams(*p) for p in itertools.product(DYADIC[1:], repeat=4)]
+    two_order += [TwoOrderParams(*(2.0 - 2.0 * rng.random(4))) for _ in range(200)]
+    return main, two_order
+
+
+def table_digest() -> str:
+    main, two_order = table_params()
+    rules = [(rule, main) for rule in (UpdateRule.main_greedy(), UpdateRule.main_noisy(0.75),
+                                       UpdateRule.main_no_hypocrisy())]
+    rules.append((UpdateRule.two_order_greedy(), two_order))
+    digest = hashlib.sha256()
+    for rule, param_sets in rules:
+        for params in param_sets:
+            for max_count in range(13):
+                table = decision_table(params, rule, max_count)
+                for array in (table.codes, table.n_min, table.is_tied, table.tied):
+                    digest.update(array.tobytes())
+                digest.update(repr(table.breakpoints).encode())
+    return digest.hexdigest()
+
+
 VERIFY_DIGESTS = {
     ("reduction", None): "f9e2de7dd8545ccef6ad69cac59a972d559f2b0e91a07a6baa9f1660d045b585",
     ("extinction", None): "37a2dce291b0f2022fc7cf8619e87f0dd366ff41abcef64f3d1a3525961e2869",
@@ -226,6 +262,10 @@ def test_sweep_outputs(name, tmp_path, capsys):
 
 def test_two_order_grid():
     assert two_order_grid_digest() == TWO_ORDER_GRID_DIGEST
+
+
+def test_decision_tables():
+    assert table_digest() == TABLE_DIGEST
 
 
 @pytest.mark.parametrize("suite,instances", sorted(VERIFY_DIGESTS, key=str))
