@@ -30,8 +30,7 @@ from .model import (
     TwoOrderParams,
     classify_main_conditions,
     classify_two_order_conditions,
-    cost_main,
-    cost_two_order,
+    cost_coefficients,
     map_configuration,
     map_two_order_params,
     params_from_dict,

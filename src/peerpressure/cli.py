@@ -86,11 +86,7 @@ def cmd_generate(args) -> int:
         settings["seed"] = args.seed
     _check_output_dir(args.out)
     _print_effective_config("generate", settings)
-    try:
-        network = spec.build(derived_seed(args.seed, 0) if args.seed is not None else None)
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    network = spec.build(derived_seed(args.seed, 0) if args.seed is not None else None)
     write_edge_list(network, args.out)
     metrics = compute_metrics(network)
     odd = "-" if metrics.odd_girth is None else str(metrics.odd_girth)
@@ -294,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
+    except GenerationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,9 +34,9 @@ Decision table
 --------------
 A player's costs depend only on its behaviour and on ``k``, the number of
 its neighbours currently punishing, and ``k`` never exceeds the maximum
-degree. :func:`decision_table` therefore evaluates the model's cost
-functions (:func:`~peerpressure.model.cost_main`,
-:func:`~peerpressure.model.cost_two_order`) once over the array of every
+degree. :func:`decision_table` therefore evaluates the model's costs,
+``fixed + per_punisher * k`` from
+:func:`~peerpressure.model.cost_coefficients`, once over the array of every
 ``k`` in ``0..max_degree`` and records the number of tied cheapest
 behaviours and the behaviours in preference order, cheapest first.
 :func:`run` alone validates its input and builds one table per run for the
@@ -92,8 +92,7 @@ from .model import (
     TWO_ORDER_BEHAVIORS,
     BINARY_BEHAVIORS,
     TIE_PRIORITY,
-    cost_main,
-    cost_two_order,
+    cost_coefficients,
 )
 
 
@@ -279,19 +278,17 @@ class DecisionTable:
 def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
     """Tabulate the best responses for punishing counts ``0..max_count``.
 
-    The cost rows are :func:`~peerpressure.model.cost_main` or
-    :func:`~peerpressure.model.cost_two_order` evaluated over the array of
-    counts, one row per available behaviour in preference order, so table
-    lookups reproduce the model's exact float costs and ties. The last
-    table is kept: the repetitions of a sweep cell share their parameters.
+    One row of costs per available behaviour in preference order is its
+    :func:`~peerpressure.model.cost_coefficients` pair evaluated over the
+    array of counts, so table lookups reproduce the model's exact float
+    costs and ties. The last table is kept: the repetitions of a sweep cell
+    share their parameters.
     """
     rule.check_params(params)
-    cost = cost_two_order if rule.is_two_order else cost_main
+    coefficients = cost_coefficients(params)
     behaviours = [b for b in TIE_PRIORITY if b in rule.available]
-    k = np.arange(max_count + 1)
-    costs = np.empty((len(behaviours), max_count + 1))
-    for row, behaviour in zip(costs, behaviours):
-        row[:] = cost(behaviour, k, params)
+    fixed, per_punisher = np.array([coefficients[b] for b in behaviours]).T
+    costs = fixed[:, None] + per_punisher[:, None] * np.arange(max_count + 1)
     codes = np.array(behaviours, dtype=np.int8)
     is_min = costs == costs.min(axis=0, keepdims=True)
     n_min = is_min.sum(axis=0)
@@ -306,8 +303,9 @@ def decision_table(params, rule: UpdateRule, max_count: int) -> DecisionTable:
     return DecisionTable(rule=rule, breakpoints=breakpoints, **arrays)
 
 
-def _interval_pick(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Index of the sub-interval of [0, 1] split into m equal parts hit by r.
+def _interval_pick(r: np.ndarray, m) -> np.ndarray:
+    """Index of the sub-interval of [0, 1] split into m equal parts hit by r,
+    for an array ``m`` per entry of ``r`` or one ``m`` for all of them.
 
     Intervals are [0, 1/m], (1/m, 2/m], ..., ((m-1)/m, 1], so r = 0.5 with
     m = 2 selects index 0.
@@ -372,7 +370,7 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
         codes = table.codes
         idx = np.flatnonzero(random_mask)
         rescaled = (noise[idx] - rule.p_greedy) / (1.0 - rule.p_greedy)
-        out[idx] = codes[_interval_pick(rescaled, np.full(idx.shape, len(codes)))]
+        out[idx] = codes[_interval_pick(rescaled, len(codes))]
     return out
 
 

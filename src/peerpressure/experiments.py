@@ -35,6 +35,8 @@ from .dynamics import RuleKind, Trace, UpdateRule, run
 class NetworkSpec:
     """How to obtain a network: a torus grid or a random regular graph.
 
+    A torus uses ``width`` and ``height``, a regular graph ``n`` and
+    ``degree``; the fields a kind does not use must stay 0.
     A ``regular`` spec builds through
     :func:`~peerpressure.graphs.sample_random_regular`, which discards
     vertices left short of ``degree``, so a network may have fewer than
@@ -52,13 +54,20 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "torus":
+            used = ("width", "height")
             if self.width < 3 or self.height < 3:
                 raise ValueError(f"torus spec needs width, height >= 3, got {self.width}x{self.height}")
         elif self.kind == "regular":
+            used = ("n", "degree")
             if self.n <= self.degree or self.degree < 1:
                 raise ValueError(f"regular spec needs n > degree >= 1, got n={self.n}, degree={self.degree}")
         else:
             raise ValueError(f"unknown network kind {self.kind!r}")
+        # a key the kind ignores would be echoed as if it had been used
+        for f in fields(self):
+            if f.name not in ("kind", *used) and getattr(self, f.name):
+                raise ValueError(f"{self.kind} spec does not use {f.name!r}, "
+                                 f"got {getattr(self, f.name)!r}")
 
     def build(self, seed: np.random.SeedSequence | int | None = None) -> Network:
         if self.kind == "torus":

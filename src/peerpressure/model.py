@@ -15,6 +15,10 @@ not contribute and ``beta2`` to players who do not punish. The four
 combinations are: cooperator (contributes, punishes), defector (neither),
 hypocrite (punishes only) and private cooperator (contributes only).
 
+In both models a cost is a fixed part plus a fee per punishing neighbour,
+so :func:`cost_coefficients` states each model as one table of
+``(fixed, per_punisher)`` pairs.
+
 Configurations are numpy int8 vectors of behaviour codes.
 """
 
@@ -128,48 +132,19 @@ class TwoOrderParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-def cost_main(behavior: Behavior, punishing_neighbors, params: MainParams):
-    """Round cost in the main model given the punishing-neighbour count.
+def cost_coefficients(params: MainParams | TwoOrderParams) -> dict[Behavior, tuple[float, float]]:
+    """Every behaviour's round cost as ``(fixed, per_punisher)``.
 
-    Cooperators pay the unit contribution and no pressure. Defectors and
-    hypocrites pay their pressure rate per punishing neighbour; hypocrites
-    additionally pay the flat image-keeping cost. ``punishing_neighbors``
-    is an integer or an integer array; an array gives one cost per entry
-    (the cooperator cost stays the scalar 1.0).
+    A player with ``k`` punishing neighbours pays ``fixed + per_punisher *
+    k``. The model is the one ``params`` belong to: the main model has no
+    private cooperators, so its table has no entry for them.
     """
-    k = punishing_neighbors
-    if np.min(k) < 0:
-        raise ValueError("punishing_neighbors must be >= 0")
-    if behavior is Behavior.COOPERATOR:
-        return 1.0
-    if behavior is Behavior.DEFECTOR:
-        return params.rho_d * k
-    if behavior is Behavior.HYPOCRITICAL:
-        return params.e_h + params.rho_h * k
-    raise ValueError(f"{behavior!r} is not a main-model behavior")
-
-
-def cost_two_order(behavior: Behavior, punishing_neighbors, params: TwoOrderParams):
-    """Round cost in the two-order model.
-
-    A player pays ``alpha1`` if contributing and ``alpha2`` if punishing;
-    each punishing neighbour charges ``beta1`` if the player does not
-    contribute and ``beta2`` if the player does not punish.
-    ``punishing_neighbors`` is an integer or an integer array, as in
-    :func:`cost_main`.
-    """
-    k = punishing_neighbors
-    if np.min(k) < 0:
-        raise ValueError("punishing_neighbors must be >= 0")
-    if behavior is Behavior.COOPERATOR:
-        return params.alpha1 + params.alpha2
-    if behavior is Behavior.DEFECTOR:
-        return k * (params.beta1 + params.beta2)
-    if behavior is Behavior.HYPOCRITICAL:
-        return params.alpha2 + k * params.beta1
-    if behavior is Behavior.PRIVATE_COOPERATOR:
-        return params.alpha1 + k * params.beta2
-    raise ValueError(f"unknown behavior {behavior!r}")
+    if isinstance(params, TwoOrderParams):
+        a1, a2, b1, b2 = params.alpha1, params.alpha2, params.beta1, params.beta2
+        return {Behavior.COOPERATOR: (a1 + a2, 0.0), Behavior.HYPOCRITICAL: (a2, b1),
+                Behavior.DEFECTOR: (0.0, b1 + b2), Behavior.PRIVATE_COOPERATOR: (a1, b2)}
+    return {Behavior.COOPERATOR: (1.0, 0.0), Behavior.HYPOCRITICAL: (params.e_h, params.rho_h),
+            Behavior.DEFECTOR: (0.0, params.rho_d)}
 
 
 # ---------------------------------------------------------------------------

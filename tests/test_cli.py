@@ -68,11 +68,35 @@ def test_generate_regular(tmp_path, capsys):
     assert "odd_girth=" in capsys.readouterr().out
 
 
+def _assert_generation_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: no connected 1-regular graph"), err
+    assert "Traceback" not in err
+
+
 def test_generate_impossible_regular_exits_one(tmp_path, capsys):
     out = tmp_path / "g.edges"
     assert run_cli("generate", "--regular", "4", "1", "--seed", "0",
                    "--out", str(out)) == 1
-    assert "error:" in capsys.readouterr().err
+    _assert_generation_error(capsys)
+
+
+def test_simulate_impossible_regular_exits_one(capsys):
+    # sampling gives up inside the run, after the effective config
+    assert run_cli("simulate", "--regular", "6", "1", "--e-h", "0.1", "--rho-h", "0.23",
+                   "--rho-d", "0.45", "--seed", "0") == 1
+    _assert_generation_error(capsys)
+
+
+def test_sweep_impossible_regular_exits_one(tmp_path, capsys):
+    # one cell, so the network is sampled in this process, without a pool
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"network": "regular", "n": 6, "degree": 1,
+                               "e_h_count": 1, "rho_h_count": 1, "rho_d": 0.5,
+                               "epsilon": 0.2, "rounds": 2, "repetitions": 1,
+                               "master_seed": 9}))
+    assert run_cli("sweep", str(cfg), "--out-prefix", str(tmp_path / "p")) == 1
+    _assert_generation_error(capsys)
 
 
 def test_simulate_torus_with_flags(tmp_path, capsys):

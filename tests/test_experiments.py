@@ -43,6 +43,36 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(kind="ring")
 
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"kind": "torus", "width": 4, "height": 5, "n": 7}, "n"),
+        ({"kind": "torus", "width": 4, "height": 5, "degree": 3}, "degree"),
+        ({"kind": "regular", "n": 20, "degree": 3, "width": 4}, "width"),
+        ({"kind": "regular", "n": 20, "degree": 3, "height": -1}, "height"),
+    ])
+    def test_rejects_keys_the_kind_ignores(self, kwargs, key):
+        # a torus with "n": 7 used to run the torus and echo the 7
+        with pytest.raises(ValueError, match=f"does not use '{key}'"):
+            NetworkSpec(**kwargs)
+
+    @pytest.mark.parametrize("network,key", [
+        ({"network": "torus", "width": 5, "height": 5, "n": 7, "degree": 3}, "n"),
+        ({"network": "regular", "n": 12, "degree": 3, "width": 4, "height": 4}, "width"),
+    ])
+    def test_sweep_rejects_keys_the_kind_ignores(self, network, key, tmp_path, capsys):
+        import json
+
+        from peerpressure.cli import main
+
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({**network, "e_h_count": 1, "rho_h_count": 1,
+                                   "rho_d": 0.5, "epsilon": 0.2, "rounds": 2,
+                                   "repetitions": 1, "master_seed": 9}))
+        assert main(["sweep", str(cfg), "--out-prefix", str(tmp_path / "p")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid sweep config: ")
+        assert f"does not use {key!r}" in captured.err
+        assert "effective-config" not in captured.out
+
 
 def test_rule_from_name():
     # rule names are the RuleKind values, in code and in sweep records

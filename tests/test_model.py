@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from peerpressure import (
     Behavior,
     ConditionStatus,
+    MAIN_BEHAVIORS,
     MainParams,
     TIE_PRIORITY,
     TwoOrderConditionStatus,
     TwoOrderParams,
     classify_main_conditions,
     classify_two_order_conditions,
-    cost_main,
-    cost_two_order,
+    cost_coefficients,
     map_configuration,
     map_two_order_params,
     params_from_dict,
@@ -39,43 +39,56 @@ def test_tie_priority_prefers_cooperation():
     assert TIE_PRIORITY[1] is Behavior.HYPOCRITICAL
 
 
+def cost(params, behavior, k):
+    """Round cost with ``k`` punishing neighbours, from the coefficient table."""
+    fixed, per_punisher = cost_coefficients(params)[behavior]
+    return fixed + per_punisher * k
+
+
 class TestMainCosts:
     def test_frozen_values(self, grid_params):
-        assert cost_main(Behavior.COOPERATOR, 0, grid_params) == 1.0
-        assert cost_main(Behavior.COOPERATOR, 4, grid_params) == 1.0
-        assert cost_main(Behavior.DEFECTOR, 2, grid_params) == 0.9
-        assert cost_main(Behavior.HYPOCRITICAL, 3, grid_params) == 0.79
-        assert cost_main(Behavior.DEFECTOR, 0, grid_params) == 0.0
+        assert cost_coefficients(grid_params) == {
+            Behavior.COOPERATOR: (1.0, 0.0),
+            Behavior.HYPOCRITICAL: (0.1, 0.23),
+            Behavior.DEFECTOR: (0.0, 0.45),
+        }
+        assert cost(grid_params, Behavior.COOPERATOR, 0) == 1.0
+        assert cost(grid_params, Behavior.COOPERATOR, 4) == 1.0
+        assert cost(grid_params, Behavior.DEFECTOR, 2) == 0.9
+        assert cost(grid_params, Behavior.HYPOCRITICAL, 3) == 0.79
+        assert cost(grid_params, Behavior.DEFECTOR, 0) == 0.0
 
     def test_rejects_private_cooperator(self, grid_params):
-        with pytest.raises(ValueError):
-            cost_main(Behavior.PRIVATE_COOPERATOR, 1, grid_params)
+        # the main model has no private cooperators, so no entry for them
+        assert set(cost_coefficients(grid_params)) == set(MAIN_BEHAVIORS)
+        with pytest.raises(KeyError):
+            cost(grid_params, Behavior.PRIVATE_COOPERATOR, 1)
 
-    def test_rejects_negative_neighbors(self, grid_params):
-        for k in (-1, np.array([0, 3, -1, 2])):
-            with pytest.raises(ValueError, match="must be >= 0"):
-                cost_main(Behavior.DEFECTOR, k, grid_params)
-
-    @given(e_h=st.floats(0, 1), rho_h=positive, rho_d=positive, k=st.integers(0, 20))
+    @given(e_h=st.floats(0, 1), rho_h=positive, rho_d=positive)
     @settings(max_examples=60)
-    def test_nonnegative_and_monotone_in_pressure(self, e_h, rho_h, rho_d, k):
+    def test_nonnegative_and_monotone_in_pressure(self, e_h, rho_h, rho_d):
+        # a non-negative fixed part and fee make every cost non-negative and
+        # non-decreasing in the punishing count
         p = MainParams(e_h=e_h, rho_h=rho_h, rho_d=rho_d)
-        ks = np.arange(k + 2)
-        for b in (Behavior.DEFECTOR, Behavior.HYPOCRITICAL, Behavior.COOPERATOR):
-            assert cost_main(b, k, p) >= 0.0
-            assert cost_main(b, k + 1, p) >= cost_main(b, k, p)
-            # an array of counts gives the scalar costs entry by entry, exactly
-            costs = np.broadcast_to(cost_main(b, ks, p), ks.shape)
-            assert costs.tolist() == [cost_main(b, int(j), p) for j in ks]
+        for fixed, per_punisher in cost_coefficients(p).values():
+            assert fixed >= 0.0 and per_punisher >= 0.0
 
 
 class TestTwoOrderCosts:
     def test_frozen_values(self):
         p = TwoOrderParams(alpha1=0.25, alpha2=0.5, beta1=0.75, beta2=1.5)
-        assert cost_two_order(Behavior.COOPERATOR, 2, p) == 0.75
-        assert cost_two_order(Behavior.HYPOCRITICAL, 2, p) == 2.0
-        assert cost_two_order(Behavior.DEFECTOR, 2, p) == 4.5
-        assert cost_two_order(Behavior.PRIVATE_COOPERATOR, 2, p) == 3.25
+        assert set(cost_coefficients(p)) == set(Behavior)
+        assert cost(p, Behavior.COOPERATOR, 2) == 0.75
+        assert cost(p, Behavior.HYPOCRITICAL, 2) == 2.0
+        assert cost(p, Behavior.DEFECTOR, 2) == 4.5
+        assert cost(p, Behavior.PRIVATE_COOPERATOR, 2) == 3.25
+
+    @given(alpha1=positive, alpha2=positive, beta1=positive, beta2=positive)
+    @settings(max_examples=60)
+    def test_coefficients_are_nonnegative(self, alpha1, alpha2, beta1, beta2):
+        p = TwoOrderParams(alpha1, alpha2, beta1, beta2)
+        for fixed, per_punisher in cost_coefficients(p).values():
+            assert fixed >= 0.0 and per_punisher >= 0.0
 
     @given(alpha1=positive, alpha2=positive, beta1=positive, beta2=positive,
            k=st.integers(0, 12), j=st.integers(-3, 3))
@@ -86,7 +99,7 @@ class TestTwoOrderCosts:
         p = TwoOrderParams(alpha1, alpha2, beta1, beta2)
         q = TwoOrderParams(lam * alpha1, lam * alpha2, lam * beta1, lam * beta2)
         for b in Behavior:
-            assert cost_two_order(b, k, q) == lam * cost_two_order(b, k, p)
+            assert cost(q, b, k) == lam * cost(p, b, k)
 
     @given(alpha1=positive, alpha2=positive, beta1=positive, beta2=positive,
            k=st.integers(0, 12))
@@ -95,8 +108,8 @@ class TestTwoOrderCosts:
         p = TwoOrderParams(alpha1, alpha2, beta1, beta2)
         m = map_two_order_params(p)
         s = alpha1 + alpha2
-        for b in (Behavior.DEFECTOR, Behavior.HYPOCRITICAL, Behavior.COOPERATOR):
-            assert math.isclose(cost_two_order(b, k, p) / s, cost_main(b, k, m),
+        for b in MAIN_BEHAVIORS:
+            assert math.isclose(cost(p, b, k) / s, cost(m, b, k),
                                 rel_tol=1e-12, abs_tol=1e-12)
 
 
