@@ -105,7 +105,12 @@ def audit_convergence_bound(metrics: GraphMetrics, trace: Trace, initial: np.nda
 def neighborhood(network: Network, chosen: np.ndarray) -> np.ndarray:
     """Mask of the vertices with a neighbour in the boolean mask ``chosen``,
     one ``(n,)`` mask or each row of a ``(T, n)`` stack. A zero-led running
-    sum of the gathered masks never grows across an isolated vertex's row."""
+    sum of the gathered masks never grows across an isolated vertex's row.
+
+    This keeps its own CSR cumsum rather than calling
+    :meth:`~peerpressure.graphs.Network.neighbour_counts`: the contagion
+    check compares the stepper against this mask, so it must not share the
+    stepper's counting code."""
     running = np.zeros(chosen.shape[:-1] + (network.indices.size + 1,), dtype=np.intp)
     np.cumsum(chosen[..., network.indices], axis=-1, out=running[..., 1:])
     return running[..., network.indptr[1:]] > running[..., network.indptr[:-1]]

@@ -57,7 +57,10 @@ def _check_output_dir(path: str) -> None:
 
 def _read_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: expected a flat JSON object")
     return record
@@ -81,8 +84,7 @@ def cmd_generate(args) -> int:
     settings = {"out": args.out, "network": spec.label()}
     if spec.kind == "regular":
         if args.seed is None:
-            print("error: --seed is required when sampling a regular network", file=sys.stderr)
-            return 2
+            raise ValueError("--seed is required when sampling a regular network")
         settings["seed"] = args.seed
     _check_output_dir(args.out)
     _print_effective_config("generate", settings)
@@ -132,6 +134,13 @@ def cmd_simulate(args) -> int:
     else:
         spec = read_edge_list(args.graph)
         source = args.graph
+        # run would take a single vertex and fail only in the conditions
+        # summary, after the trace is written
+        if spec.vertex_count == 0:
+            raise ValueError(f"{source}: simulation requires a non-empty network")
+        if spec.vertex_count == 1 or not spec.is_connected():
+            raise ValueError(f"{source}: simulation requires a connected network "
+                             "of at least 2 vertices")
 
     settings = {
         "network": source, "rule": rule.kind.value, "seed": args.seed,
@@ -173,13 +182,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.workers < 1:
-        print(f"error: --workers must be positive, got {args.workers}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--workers must be positive, got {args.workers}")
     try:
         spec = SweepSpec.from_dict(_read_json_object(args.config))
     except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"error: invalid sweep config: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"invalid sweep config: {exc}") from None
     _check_output_dir(args.out_prefix)
     settings = {**spec.to_dict(), "workers": args.workers, "out_prefix": args.out_prefix}
     _print_effective_config("sweep", settings)
@@ -200,8 +207,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.instances is not None and args.instances < 1:
-        print(f"error: --instances must be positive, got {args.instances}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--instances must be positive, got {args.instances}")
     if args.out:
         _check_output_dir(args.out)
     names = list(SUITES) if args.suite == "all" else [args.suite]

@@ -47,17 +47,11 @@ affine in ``k``, so the choice is piecewise constant, changing by
 player, builds the choice as the choice at ``k = 0`` plus ``delta``
 wherever ``k >= j`` (one ``int8`` compare and add per breakpoint, with no
 index conversion of ``k``), and resolves ties only for players whose ``k``
-is tied. ``k`` is counted by symmetry: each punishing player adds one to
-every neighbour, so ``k`` is one int64 ``bincount`` of the punishing
-players' concatenated neighbour lists, on any network. A network whose
-:meth:`~peerpressure.graphs.Network.torus_shape` is known, the row-major
-torus of :func:`~peerpressure.graphs.build_torus_grid` however it was
-made, skips that gather: ``k`` is four shifted whole-array slice adds of
-its mask plus a fix-up of the first and last columns of the ``(height,
-width)`` grid, as ``uint8`` with the same values. The stencil is about
-thirty times faster at 300x300 and about 7 us slower per call below 30x30,
-a millisecond over the 165 stencil calls of ``verify all --seed 3``; a
-built torus carries its shape, so it pays no recognition.
+is tied. The model's one fact about ``k`` is who punishes (hypocrites
+and cooperators). Counting them is the network's
+:meth:`~peerpressure.graphs.Network.neighbour_counts`, which alone knows
+how the network is stored and laid out: ``k`` has the same values on every
+network, as ``uint8`` on a recognised torus and int64 otherwise.
 
 Rounds of a run
 ---------------
@@ -210,44 +204,14 @@ def punishing_counts(network: Network, config: np.ndarray) -> np.ndarray:
 
     Hypocrites and cooperators punish, defectors and private cooperators
     do not; in the main model this is exactly the non-defector neighbour
-    count. A network whose
-    :meth:`~peerpressure.graphs.Network.torus_shape` is ``(width, height)``
-    counts in ``uint8`` with slices over the row-major grid
-    (:func:`_torus_counts`), whatever its size. Every other network counts
-    by symmetry, as an int64 ``bincount`` of the punishing vertices'
-    neighbour lists, 0 on an isolated vertex.
+    count. The counts are the network's
+    :meth:`~peerpressure.graphs.Network.neighbour_counts` of the punishers'
+    mask: ``uint8`` on a recognised torus, int64 on every other network.
     """
     # hypocrites (1) and cooperators (2) are the codes that wrap to 0 and 1
     # when 1 is subtracted from their unsigned bytes
     mask = (np.asarray(config, dtype=np.int8).view(np.uint8) - 1) <= 1
-    shape = network.torus_shape()
-    if shape is not None:
-        return _torus_counts(mask.view(np.uint8), *shape)
-    return np.bincount(network.indices[np.repeat(mask, network.degrees)],
-                       minlength=network.vertex_count)
-
-
-def _torus_counts(mask: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Punishing counts on the row-major ``width`` x ``height`` torus from a
-    ``uint8`` mask, as four shifted whole-array adds and four column fixes."""
-    n = mask.size
-    k = np.empty(n, dtype=np.uint8)
-    # vertical neighbours u + width and u - width, wrapping modulo n
-    k[:n - width] = mask[width:]
-    k[n - width:] = mask[:width]
-    k[width:] += mask[:n - width]
-    k[:width] += mask[n - width:]
-    # horizontal neighbours u + 1 and u - 1 read across row ends, so the
-    # last column took the next row's first player and the first column the
-    # previous row's last; swap those for the player at the own row's far end
-    k[:-1] += mask[1:]
-    k[1:] += mask[:-1]
-    grid, k_grid = mask.reshape(height, width), k.reshape(height, width)
-    k_grid[:, -1] += grid[:, 0]
-    k_grid[:-1, -1] -= grid[1:, 0]
-    k_grid[:, 0] += grid[:, -1]
-    k_grid[1:, 0] -= grid[:-1, -1]
-    return k
+    return network.neighbour_counts(mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +341,7 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
 def behaviour_counts(config: np.ndarray, width: int) -> list[int]:
     """Players of each code ``0..width - 1`` in ``config``, read as given:
     a code that is not exactly one of them (257, 1.5) goes uncounted."""
-    # count_nonzero per code avoids the int8 -> intp cast that bincount makes
+    # count_nonzero per code avoids casting the int8 codes to intp
     return [np.count_nonzero(config == code) for code in range(width)]
 
 

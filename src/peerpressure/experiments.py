@@ -15,7 +15,7 @@ import functools
 import itertools
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -194,6 +194,13 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SweepSpec":
+        """Spec from a flat record; ``rule`` and every defaulted field may be
+        left out, and a missing or unknown key raises ``ValueError`` naming
+        every such key."""
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name != "rule" and f.name not in record]
+        if missing:
+            raise ValueError(f"missing sweep keys {missing}")
         record = dict(record)
         network = NetworkSpec(kind=record.pop("network"),
                               **_pop_fields(NetworkSpec, record, skip=("kind",)))

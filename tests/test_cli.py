@@ -217,6 +217,26 @@ def test_simulate_empty_network_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "simulation requires a non-empty network" in captured.err
     assert "rounds=" not in captured.out
+    assert "effective-config" not in captured.out
+
+
+@pytest.mark.parametrize("text, rule_flags", [
+    ("1 0\n", MAIN_FLAGS),
+    ("1 0\n", ("--two-order",) + TWO_ORDER_FLAGS),
+    ("4 2\n0 1\n2 3\n", MAIN_FLAGS),
+], ids=["single-vertex", "single-vertex-two-order", "disconnected"])
+def test_simulate_unrunnable_graph_is_refused_before_output(tmp_path, capsys, text, rule_flags):
+    # a single vertex used to print the effective config and write the
+    # trace, then exit 2 from the conditions summary (min_degree 0)
+    edges, out = tmp_path / "g.edges", tmp_path / "trace.csv"
+    edges.write_text(text)
+    assert run_cli("simulate", "--graph", str(edges), *rule_flags, "--rounds", "2",
+                   "--seed", "0", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {edges}: simulation requires a connected network "
+                            "of at least 2 vertices\n")
+    assert "effective-config" not in captured.out
+    assert not out.exists()
 
 
 def test_simulate_two_order(capsys):
@@ -255,6 +275,20 @@ def test_simulate_regime_note_printed(capsys):
                    "--seed", "5")
     assert code == 0
     assert "note: e_h=0.0 is on the regime boundary" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_json_syntax_error_names_the_file(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"e_h": 0.1\n"rho_h": 0.23}')
+    if command == "simulate":
+        argv, prefix = ("simulate", "--torus", "5", "5", "--config", str(cfg), "--seed", "0"), ""
+    else:
+        argv, prefix = ("sweep", str(cfg), "--out-prefix", str(tmp_path / "p")), "invalid sweep config: "
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {prefix}{cfg}: Expecting ',' delimiter: line 2 column 1 (char 12)\n"
+    assert "effective-config" not in captured.out
 
 
 def test_sweep_round_trip(tmp_path, capsys):

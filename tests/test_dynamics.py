@@ -24,6 +24,7 @@ from peerpressure import (
     write_trace_csv,
 )
 
+import peerpressure.graphs
 from peerpressure import dynamics
 
 from conftest import table_for
@@ -711,7 +712,7 @@ class TestPunishingPath:
     def test_stencil_on_every_exact_torus(self, graphs, tmp_path, grid_params, monkeypatch):
         from peerpressure import read_edge_list, write_edge_list
 
-        stencil_counts = dynamics._torus_counts
+        stencil_counts = peerpressure.graphs._torus_counts
         calls = []
 
         def counted(mask, width, height):
@@ -722,7 +723,7 @@ class TestPunishingPath:
             write_edge_list(g, str(tmp_path / name))
             return read_edge_list(str(tmp_path / name))
 
-        monkeypatch.setattr(dynamics, "_torus_counts", counted)
+        monkeypatch.setattr(peerpressure.graphs, "_torus_counts", counted)
         cases = {
             "torus60x50": (graphs["torus60x50"], (60, 50), True),
             "read back": (read_back(graphs["torus60x50"], "60x50.edges"), (60, 50), True),

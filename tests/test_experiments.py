@@ -207,6 +207,27 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown sweep keys"):
             SweepSpec.from_dict(record)
 
+    @pytest.mark.parametrize("dropped", [("network",), ("rounds",),
+                                         ("rho_d", "master_seed", "network")],
+                             ids=["network", "rounds", "three"])
+    def test_missing_keys_are_named(self, dropped, tmp_path, capsys):
+        import json
+
+        from peerpressure.cli import main
+
+        record = {key: value for key, value in _tiny_spec().to_dict().items()
+                  if key not in dropped}
+        want = f"missing sweep keys {[f.name for f in fields(SweepSpec) if f.name in dropped]}"
+        with pytest.raises(ValueError) as raised:
+            SweepSpec.from_dict(record)
+        assert str(raised.value) == want
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(record))
+        assert main(["sweep", str(cfg), "--out-prefix", str(tmp_path / "p")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid sweep config: {want}\n"
+        assert "effective-config" not in captured.out
+
 
 class TestPhaseDiagram:
     def test_shape_validation(self):
