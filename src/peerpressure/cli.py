@@ -59,7 +59,7 @@ def _read_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             record = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a syntax error, or bytes that are not UTF-8
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: expected a flat JSON object")

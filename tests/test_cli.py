@@ -278,16 +278,20 @@ def test_simulate_regime_note_printed(capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_json_syntax_error_names_the_file(tmp_path, capsys, command):
+@pytest.mark.parametrize("content, message", [
+    (b'{"e_h": 0.1\n"rho_h": 0.23}', "Expecting ',' delimiter: line 2 column 1 (char 12)"),
+    (b'{"e_h": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+], ids=["syntax", "not-utf-8"])
+def test_json_error_names_the_file(tmp_path, capsys, command, content, message):
     cfg = tmp_path / "bad.json"
-    cfg.write_text('{"e_h": 0.1\n"rho_h": 0.23}')
+    cfg.write_bytes(content)
     if command == "simulate":
         argv, prefix = ("simulate", "--torus", "5", "5", "--config", str(cfg), "--seed", "0"), ""
     else:
         argv, prefix = ("sweep", str(cfg), "--out-prefix", str(tmp_path / "p")), "invalid sweep config: "
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {prefix}{cfg}: Expecting ',' delimiter: line 2 column 1 (char 12)\n"
+    assert captured.err == f"error: {prefix}{cfg}: {message}\n"
     assert "effective-config" not in captured.out
 
 
