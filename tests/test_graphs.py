@@ -427,6 +427,45 @@ def test_edge_list_round_trip(tmp_path, torus5):
         assert fh.readline() == "25 50\n"
 
 
+def _pinned_networks():
+    rng = np.random.default_rng(28)
+    return {
+        "torus 30x20": build_torus_grid(30, 20),
+        "10-regular": sample_random_regular(60, 10, rng),
+        "gnp": random_connected_gnp(rng, 40, 0.2),
+    }
+
+
+@pytest.mark.parametrize("name", ["torus 30x20", "10-regular", "gnp"])
+def test_edge_list_read_back_arrays(tmp_path, name):
+    """Reading an edge list back gives the written network's CSR arrays,
+    dtypes and torus shape, not only its adjacency lists."""
+    g = _pinned_networks()[name]
+    path = str(tmp_path / "g.edges")
+    write_edge_list(g, path)
+    back = read_edge_list(path)
+    for field in ("indptr", "indices", "degrees"):
+        got, want = getattr(back, field), getattr(g, field)
+        assert got.dtype == np.int64, field
+        assert np.array_equal(got, want), field
+    assert back.torus_shape() == g.torus_shape()
+
+
+@pytest.mark.parametrize("name", ["torus 30x20", "10-regular", "gnp"])
+def test_from_edges_ignores_edge_order_and_orientation(name):
+    g = _pinned_networks()[name]
+    edges = np.array(g.edges(), dtype=np.int64)
+    rng = np.random.default_rng(5)
+    shuffled = edges[rng.permutation(len(edges))]
+    swap = rng.random(len(edges)) < 0.5
+    shuffled[swap] = shuffled[swap, ::-1]
+    back = Network.from_edges(g.vertex_count, shuffled)
+    for field in ("indptr", "indices", "degrees"):
+        got, want = getattr(back, field), getattr(g, field)
+        assert got.dtype == np.int64, field
+        assert np.array_equal(got, want), field
+
+
 def test_edge_list_tolerates_whitespace(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("3  2\n0 1\n\n  1   2 \n")
@@ -434,26 +473,56 @@ def test_edge_list_tolerates_whitespace(tmp_path):
     assert adjacency_lists(g) == [[1], [0, 2], [1]]
 
 
+# Malformed edge lists and today's message for each. Several are traps for
+# a parse of the file's bytes: whitespace alone parses as [0], a lone sign
+# as a sign of the next number or as 0, and overflow saturates at INT64_MAX.
+MALFORMED_EDGE_LISTS = [
+    ("", "missing header"),
+    ("  \n", "missing header"),
+    ("3 2\n0 1\n", "expected 2 edges, found 1"),
+    ("-5 0\n", "negative counts n=-5, m=0"),
+    ("3 -1\n", "negative counts n=3, m=-1"),
+    ("3 1\n0 1 extra\n", r"odd number of edge endpoints \(3\)"),
+    ("3 1\n0 1\n\x00x", r"odd number of edge endpoints \(3\)"),
+    ("3 1\n0 - 1\n", r"odd number of edge endpoints \(3\)"),
+    ("3 1\n0 + 1\n", r"odd number of edge endpoints \(3\)"),
+    ("3 1\n0 1 -\n", r"odd number of edge endpoints \(3\)"),
+    ("3 1\n0 1-\n", "invalid literal for int.*'1-'"),
+    ("3 1\n0 3\n", "out of range"),
+    ("3 1\n0 99999999999999999999\n", "edge endpoint out of range for n=3"),
+    ("3 1\n0 9223372036854775808\n", "edge endpoint out of range for n=3"),
+    ("3 1\n0 9223372036854775807\n", r"edge \(0, 9223372036854775807\) out of range for n=3"),
+    ("x 0\n", "invalid literal for int"),
+    ("3 1\n0 1.5\n", "invalid literal for int.*'1.5'"),
+    ("3 1\n0 2.5\n", "invalid literal for int.*'2.5'"),
+    ("3 1\n0 0x2\n", "invalid literal for int.*'0x2'"),
+    ("3 1\n0 \u00e9\n", "'ascii' codec can't decode"),
+    ("\ufeff3 1\n0 1\n", "'ascii' codec can't decode byte 0xef in position 0"),
+    # 728 TiB of row offsets: the allocation fails at once
+    ("100000000000000 0\n", "header vertex count n=100000000000000 is too large"),
+]
+
+
 def test_edge_list_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.edges"
-    for text, message in [
-        ("", "missing header"),
-        ("3 2\n0 1\n", "expected 2 edges, found 1"),
-        ("-5 0\n", "negative counts n=-5, m=0"),
-        ("3 -1\n", "negative counts n=3, m=-1"),
-        ("3 1\n0 1 extra\n", r"odd number of edge endpoints \(3\)"),
-        ("3 1\n0 3\n", "out of range"),
-        ("3 1\n0 99999999999999999999\n", "out of range"),
-        ("x 0\n", "invalid literal for int"),
-        ("3 1\n0 1.5\n", "invalid literal for int.*'1.5'"),
-        ("3 1\n0 \u00e9\n", "'ascii' codec can't decode"),
-        # 728 TiB of row offsets: the allocation fails at once
-        ("100000000000000 0\n", "header vertex count n=100000000000000 is too large"),
-    ]:
+    for text, message in MALFORMED_EDGE_LISTS:
         bad.write_text(text, encoding="utf-8")
         # every message names the file first
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*{message}"):
             read_edge_list(str(bad))
+
+
+def test_edge_list_accepts_what_int_accepts(tmp_path):
+    """Signs, leading zeros, digit underscores and every whitespace that
+    ``str.split`` knows (here CRLF, a tab and the 0x1c separator) read as
+    ``int`` reads them."""
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"1001 2\r\n+1\t007\x1c1_000 0\r\n")
+    g = read_edge_list(str(path))
+    want = Network.from_edges(1001, [(1, 7), (1000, 0)])
+    for field in ("indptr", "indices", "degrees"):
+        assert getattr(g, field).dtype == np.int64, field
+        assert np.array_equal(getattr(g, field), getattr(want, field)), field
 
 
 @given(seed=st.integers(0, 10_000))
