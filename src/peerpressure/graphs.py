@@ -16,6 +16,7 @@ construction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +43,13 @@ class Network:
 
     ``Network(indptr, indices)`` is the validating door, for user input:
     it checks every condition above and raises ``ValueError`` naming the
-    first offending vertex or edge. The package's generators use the
-    trusted door instead, ``Network._trusted`` (or ``_from_adjacency``),
-    which takes arrays already in final form and checks nothing.
+    first offending vertex or edge. It builds and sorts its keys in place,
+    so beside its input it holds at most three per-arc int64 arrays: the
+    arc sources, the sorted arcs and the sorted reversed arcs, the first
+    of which becomes the stored ``indices``. The package's generators use
+    the trusted door instead, ``Network._trusted`` (or
+    ``_from_adjacency``), which takes arrays already in final form and
+    checks nothing.
 
     ``degrees`` is set once on construction; an arc's source is read from
     ``indptr``, not stored, so ``indices`` is the only per-arc array kept.
@@ -79,19 +84,25 @@ class Network:
             raise ValueError(f"self-loop at vertex {src[loops[0]]}")
         # One sort orders every row (src is already non-decreasing) and
         # brings repeated neighbours side by side.
-        row_base = src * n
-        keys = np.sort(row_base + indices)
+        keys = src * n
+        keys += indices
+        keys.sort()
         dup = np.flatnonzero(keys[1:] == keys[:-1])
         if dup.size:
             u, v = divmod(int(keys[dup[0]]), n)
             raise ValueError(f"duplicate edge ({u}, {v})")
         # Symmetric exactly when the reversed arcs are the same set.
-        reverse = np.sort(indices * n + src)
+        reverse = indices * n
+        reverse += src
+        reverse.sort()
         if not np.array_equal(keys, reverse):
             u, v = divmod(int(np.setdiff1d(keys, reverse, assume_unique=True)[0]), n)
             raise ValueError(f"asymmetric edge ({u}, {v})")
+        del reverse
+        src *= n
+        keys -= src
         self.indptr = indptr
-        self.indices = keys - row_base
+        self.indices = keys
         self.degrees = degrees
 
     @classmethod
@@ -194,17 +205,28 @@ class Network:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Network":
-        """Network on ``n`` vertices from ``m`` edges, an ``(m, 2)`` array or a list of pairs."""
+        """Network on ``n`` vertices from ``m`` edges, an ``(m, 2)`` array or a list of pairs.
+
+        The edges' flat endpoint list is grouped by source with one stable
+        ``argsort``, and each arc's target is read from the same list, so
+        the only per-arc arrays made here are that order and the targets;
+        the validating constructor then sorts the rows. ``read_edge_list``
+        passes the view of its parsed file straight in.
+        """
         edges = _int64_array(edges).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             u, v = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         # Both arcs of every edge, grouped by source; rows are sorted later.
+        # Arc p of the flat endpoint list runs from src[p] to src[p ^ 1].
         src = edges.ravel()
         order = np.argsort(src, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr, edges[:, ::-1].ravel()[order])
+        order ^= 1
+        indices = src[order]
+        del order
+        return cls(indptr, indices)
 
 
 def _int64_array(values) -> np.ndarray:
@@ -509,18 +531,54 @@ def write_edge_list(network: Network, path: str) -> None:
 def read_edge_list(path: str) -> Network:
     """Inverse of :func:`write_edge_list`; tolerant of extra whitespace.
 
+    The file is read as bytes. A well-formed file (see
+    :func:`_well_formed_edges`) is parsed by one ``np.fromstring`` call,
+    with no Python object per number. Every other file falls back to the
+    token path, ``str.split`` and ``int`` per token, which reads what
+    ``int`` reads (signs, leading zeros, digit underscores, any whitespace
+    ``str.split`` knows) and alone writes the header and count messages.
     Every malformed-input error is a ``ValueError`` whose message starts
     with ``path``.
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            tokens = fh.read().split()
-        return _edge_list_network(tokens)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        parsed = _well_formed_edges(data)
+        n, edges = parsed or _token_edges(data)
+        del data
+        try:
+            return Network.from_edges(n, edges)
+        except MemoryError:
+            raise ValueError(f"header vertex count n={n} is too large to allocate") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _edge_list_network(tokens: list[str]) -> Network:
+def _well_formed_edges(data: bytes) -> tuple[int, np.ndarray] | None:
+    """``(n, edges)`` parsed from an edge list's bytes, or None unless the
+    file is well formed: the parse reads to the end, no ``+`` or ``-`` byte
+    occurs (a lone sign parses as part of the next number or as 0), there
+    are a header and ``m`` pairs, and no value saturated at the int64 limit.
+    Whitespace alone parses as ``[0]`` and fails the count. None writes no
+    message; the token path finds what is wrong.
+    """
+    if b"+" in data or b"-" in data:
+        return None
+    with warnings.catch_warnings():
+        # numpy < 2 warns on unmatched data and returns what it parsed
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(data, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if (values.size < 2 or values.size != 2 + 2 * int(values[1])
+            or values.max() == np.iinfo(np.int64).max):
+        return None
+    return int(values[0]), values[2:].reshape(-1, 2)
+
+
+def _token_edges(data: bytes) -> tuple[int, np.ndarray]:
+    tokens = data.decode("ascii").split()
     if len(tokens) < 2:
         raise ValueError("missing header")
     n, m = int(tokens[0]), int(tokens[1])
@@ -531,10 +589,6 @@ def _edge_list_network(tokens: list[str]) -> Network:
     if len(tokens) != 2 + 2 * m:
         raise ValueError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
     try:
-        edges = np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
+        return n, np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
     except OverflowError:
         raise ValueError(f"edge endpoint out of range for n={n}") from None
-    try:
-        return Network.from_edges(n, edges)
-    except MemoryError:
-        raise ValueError(f"header vertex count n={n} is too large to allocate") from None

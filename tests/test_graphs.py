@@ -473,10 +473,11 @@ def test_edge_list_tolerates_whitespace(tmp_path):
     assert adjacency_lists(g) == [[1], [0, 2], [1]]
 
 
-# Malformed edge lists and today's message for each. Several are traps for
-# a parse of the file's bytes: whitespace alone parses as [0], a lone sign
-# as a sign of the next number or as 0, and overflow saturates at INT64_MAX.
-MALFORMED_EDGE_LISTS = [
+# Malformed edge lists that the byte parse must hand to the token path, and
+# the token path's message for each. Several are traps for the byte parse:
+# whitespace alone parses as [0], a lone sign as a sign of the next number
+# or as 0, and overflow saturates at INT64_MAX.
+EDGE_LIST_TRAPS = [
     ("", "missing header"),
     ("  \n", "missing header"),
     ("3 2\n0 1\n", "expected 2 edges, found 1"),
@@ -488,7 +489,6 @@ MALFORMED_EDGE_LISTS = [
     ("3 1\n0 + 1\n", r"odd number of edge endpoints \(3\)"),
     ("3 1\n0 1 -\n", r"odd number of edge endpoints \(3\)"),
     ("3 1\n0 1-\n", "invalid literal for int.*'1-'"),
-    ("3 1\n0 3\n", "out of range"),
     ("3 1\n0 99999999999999999999\n", "edge endpoint out of range for n=3"),
     ("3 1\n0 9223372036854775808\n", "edge endpoint out of range for n=3"),
     ("3 1\n0 9223372036854775807\n", r"edge \(0, 9223372036854775807\) out of range for n=3"),
@@ -498,6 +498,10 @@ MALFORMED_EDGE_LISTS = [
     ("3 1\n0 0x2\n", "invalid literal for int.*'0x2'"),
     ("3 1\n0 \u00e9\n", "'ascii' codec can't decode"),
     ("\ufeff3 1\n0 1\n", "'ascii' codec can't decode byte 0xef in position 0"),
+]
+# Well formed for the byte parse; from_edges finds what is wrong.
+MALFORMED_EDGE_LISTS = EDGE_LIST_TRAPS + [
+    ("3 1\n0 3\n", "out of range"),
     # 728 TiB of row offsets: the allocation fails at once
     ("100000000000000 0\n", "header vertex count n=100000000000000 is too large"),
 ]
@@ -523,6 +527,49 @@ def test_edge_list_accepts_what_int_accepts(tmp_path):
     for field in ("indptr", "indices", "degrees"):
         assert getattr(g, field).dtype == np.int64, field
         assert np.array_equal(getattr(g, field), getattr(want, field)), field
+
+
+def test_edge_list_byte_parse_is_taken(tmp_path, monkeypatch):
+    """A well-formed file never reaches the token path, and every trap and
+    every file that only ``int`` reads right does."""
+    import peerpressure.graphs as graphs
+
+    def token_path(data):
+        raise AssertionError("token path reached")
+
+    monkeypatch.setattr(graphs, "_token_edges", token_path)
+    path = tmp_path / "g.edges"
+    torus = build_torus_grid(12, 10)
+    write_edge_list(torus, str(path))
+    assert np.array_equal(read_edge_list(str(path)).indices, torus.indices)
+    for text, message in MALFORMED_EDGE_LISTS[len(EDGE_LIST_TRAPS):]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_edge_list(str(path))
+    for text, _ in EDGE_LIST_TRAPS:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(AssertionError, match="token path reached"):
+            read_edge_list(str(path))
+    path.write_bytes(b"1001 2\r\n+1\t007\x1c1_000 0\r\n")
+    with pytest.raises(AssertionError, match="token path reached"):
+        read_edge_list(str(path))
+
+
+def test_edge_list_read_peak_memory(tmp_path):
+    """Reading a 100x100 torus allocates at most five times the arrays it
+    keeps: no list of tokens, and few per-arc int64 temporaries."""
+    import tracemalloc
+
+    path = str(tmp_path / "g.edges")
+    write_edge_list(build_torus_grid(100, 100), path)
+    tracemalloc.start()
+    try:
+        g = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes
+    assert peak <= 5 * kept, peak / kept
 
 
 @given(seed=st.integers(0, 10_000))
