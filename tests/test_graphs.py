@@ -516,12 +516,16 @@ def test_edge_list_rejects_malformed(tmp_path):
             read_edge_list(str(bad))
 
 
+# An edge list that only the token path reads right.
+INT_ONLY_EDGE_LIST = b"1001 2\r\n+1\t007\x1c1_000 0\r\n"
+
+
 def test_edge_list_accepts_what_int_accepts(tmp_path):
     """Signs, leading zeros, digit underscores and every whitespace that
     ``str.split`` knows (here CRLF, a tab and the 0x1c separator) read as
     ``int`` reads them."""
     path = tmp_path / "g.edges"
-    path.write_bytes(b"1001 2\r\n+1\t007\x1c1_000 0\r\n")
+    path.write_bytes(INT_ONLY_EDGE_LIST)
     g = read_edge_list(str(path))
     want = Network.from_edges(1001, [(1, 7), (1000, 0)])
     for field in ("indptr", "indices", "degrees"):
@@ -550,7 +554,7 @@ def test_edge_list_byte_parse_is_taken(tmp_path, monkeypatch):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(AssertionError, match="token path reached"):
             read_edge_list(str(path))
-    path.write_bytes(b"1001 2\r\n+1\t007\x1c1_000 0\r\n")
+    path.write_bytes(INT_ONLY_EDGE_LIST)
     with pytest.raises(AssertionError, match="token path reached"):
         read_edge_list(str(path))
 
