@@ -98,6 +98,46 @@ class TestNetworkValidation:
         assert g.neighbors(0) == [1, 2]
         assert g.indices.tolist() == [1, 2, 0, 0]
 
+    # (rows, the message or None): empty rows first, in the middle and
+    # last; a repeat inside a sorted row and inside an unsorted one; an
+    # asymmetric arc with sorted rows
+    ROW_CASES = [
+        ([[], [2, 5], [1, 5], [], [], [1, 2], []], None),
+        ([[], [3], [3], [1, 2]], None),
+        ([[1, 2, 3], [0, 2], [], [0, 1], [0]], "asymmetric edge (0, 2)"),
+        ([[1, 2, 2], [0], [0, 0]], "duplicate edge (0, 2)"),
+        ([[3, 1, 3], [0], [], [0, 0]], "duplicate edge (0, 3)"),
+        ([[], [2, 3], [1], [1, 3]], "self-loop at vertex 3"),
+        ([[1, 2], [0, 2], [0]], "asymmetric edge (1, 2)"),
+    ]
+
+    @pytest.mark.parametrize("rows, message", ROW_CASES)
+    def test_row_order_does_not_change_the_result(self, rows, message):
+        """Rows given sorted, reversed or shuffled store identical arrays,
+        or raise the identical message."""
+        rng = np.random.default_rng(29)
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        orders = {"as given": rows, "sorted": [sorted(row) for row in rows],
+                  "reversed": [sorted(row)[::-1] for row in rows],
+                  "shuffled": [rng.permutation(row).tolist() for row in rows]}
+        for name, ordered in orders.items():
+            indices = np.array([v for row in ordered for v in row], dtype=np.int64)
+            if message is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    Network(indptr, indices)
+                continue
+            g = Network(indptr, indices)
+            assert g.indptr.tolist() == indptr.tolist(), name
+            assert g.indices.dtype == np.int64, name
+            assert [g.neighbors(u) for u in range(len(rows))] == orders["sorted"], name
+
+    def test_from_edges_leaves_its_input_unchanged(self):
+        edges = np.array([[2, 0], [0, 1], [3, 2], [1, 2]], dtype=np.int64)
+        before = edges.copy()
+        g = Network.from_edges(4, edges)
+        assert np.array_equal(edges, before)
+        assert g.indices.tolist() == [1, 2, 0, 2, 0, 1, 3, 2]
+
 
 def test_basic_counts_and_edges(triangle):
     assert triangle.vertex_count == 3
@@ -132,6 +172,26 @@ class TestTorus:
             build_torus_grid(2, 5)
         with pytest.raises(ValueError):
             build_torus_grid(5, 2)
+
+    def test_rows_equal_a_sorting_reference(self):
+        """``_torus_rows`` equals a straightforward build that sorts every
+        row, for every shape from 3x3 to 39x39 and a few larger ones."""
+        from peerpressure.graphs import _torus_rows
+
+        def reference(width, height):
+            x = np.tile(np.arange(width, dtype=np.int64), height)
+            row = np.repeat(np.arange(height, dtype=np.int64) * width, width)
+            n = width * height
+            rows = np.stack([(x + 1) % width + row, (x - 1) % width + row,
+                             (row + width) % n + x, (row - width) % n + x], axis=1)
+            rows.sort(axis=1)
+            return rows
+
+        shapes = [(w, h) for w in range(3, 40) for h in range(3, 40)]
+        for w, h in shapes + [(50, 50), (301, 300)]:
+            got = _torus_rows(w, h)
+            assert got.dtype == np.int64 and got.shape == (w * h, 4), (w, h)
+            assert np.array_equal(got, reference(w, h)), (w, h)
 
     def test_neighbors_of_origin(self):
         g = build_torus_grid(4, 3)
