@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -286,6 +285,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> PhaseDiagram:
     if workers <= 1:
         results = list(map(_run_cell, specs, rows, cols))
     else:
+        # imported here: a run that needs no pool does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool shuts down (and its workers exit) even when a cell raises
         with ProcessPoolExecutor(max_workers=workers) as executor:
             chunk = max(1, len(rows) // (workers * 8))

@@ -43,13 +43,17 @@ class Network:
 
     ``Network(indptr, indices)`` is the validating door, for user input:
     it checks every condition above and raises ``ValueError`` naming the
-    first offending vertex or edge. It builds and sorts its keys in place,
-    so beside its input it holds at most three per-arc int64 arrays: the
-    arc sources, the sorted arcs and the sorted reversed arcs, the first
-    of which becomes the stored ``indices``. The package's generators use
-    the trusted door instead, ``Network._trusted`` (or
-    ``_from_adjacency``), which takes arrays already in final form and
-    checks nothing.
+    first offending vertex or edge. One boolean pass finds whether every
+    row already rises strictly. Such rows are sorted and free of repeats,
+    so they are stored as given (int64 input is not copied); only when
+    some row does not rise are the arc keys ``u * n + v`` sorted and
+    checked for repeats. Beside its input it holds two per-arc int64
+    temporaries, the arc sources and the sorted reversed arcs that test
+    symmetry, plus the sorted keys when rows needed sorting.
+    :meth:`from_edges` and :func:`read_edge_list` sort their arcs once and
+    hand this door sorted rows. The package's generators use the trusted
+    door instead, ``Network._trusted`` (or ``_from_adjacency``), which
+    takes arrays already in final form and checks nothing.
 
     ``degrees`` is set once on construction; an arc's source is read from
     ``indptr``, not stored, so ``indices`` is the only per-arc array kept.
@@ -82,25 +86,34 @@ class Network:
         loops = np.flatnonzero(indices == src)
         if loops.size:
             raise ValueError(f"self-loop at vertex {src[loops[0]]}")
-        # One sort orders every row (src is already non-decreasing) and
-        # brings repeated neighbours side by side.
-        keys = src * n
-        keys += indices
-        keys.sort()
-        dup = np.flatnonzero(keys[1:] == keys[:-1])
-        if dup.size:
-            u, v = divmod(int(keys[dup[0]]), n)
-            raise ValueError(f"duplicate edge ({u}, {v})")
+        # Rows that rise strictly are sorted and free of repeats. The
+        # comparison across each row start is forced true; a start at 0
+        # (an empty first row) would index -1, the last comparison.
+        rising = indices[1:] > indices[:-1]
+        rising[indptr[(indptr > 0) & (indptr < indices.size)] - 1] = True
+        if rising.all():
+            keys = indices
+        else:
+            # One sort orders every row (src is already non-decreasing) and
+            # brings repeated neighbours side by side.
+            keys = src * n
+            keys += indices
+            keys.sort()
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if dup.size:
+                u, v = divmod(int(keys[dup[0]]), n)
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            keys %= n
+        del rising
         # Symmetric exactly when the reversed arcs are the same set.
-        reverse = indices * n
+        reverse = keys * n
         reverse += src
         reverse.sort()
-        if not np.array_equal(keys, reverse):
-            u, v = divmod(int(np.setdiff1d(keys, reverse, assume_unique=True)[0]), n)
-            raise ValueError(f"asymmetric edge ({u}, {v})")
-        del reverse
         src *= n
-        keys -= src
+        src += keys
+        if not np.array_equal(src, reverse):
+            u, v = divmod(int(np.setdiff1d(src, reverse, assume_unique=True)[0]), n)
+            raise ValueError(f"asymmetric edge ({u}, {v})")
         self.indptr = indptr
         self.indices = keys
         self.degrees = degrees
@@ -207,26 +220,42 @@ class Network:
     def from_edges(cls, n: int, edges) -> "Network":
         """Network on ``n`` vertices from ``m`` edges, an ``(m, 2)`` array or a list of pairs.
 
-        The edges' flat endpoint list is grouped by source with one stable
-        ``argsort``, and each arc's target is read from the same list, so
-        the only per-arc arrays made here are that order and the targets;
-        the validating constructor then sorts the rows. ``read_edge_list``
-        passes the view of its parsed file straight in.
+        The edges are copied once, as int64, and never written to; the
+        copy is built by :meth:`_from_arcs`, which sorts it once and holds
+        one more per-arc temporary, and validated by the constructor.
         """
-        edges = _int64_array(edges).reshape(-1, 2)
+        return cls._from_arcs(n, _int64_array(edges).reshape(-1, 2).copy())
+
+    @classmethod
+    def _from_arcs(cls, n: int, edges: np.ndarray) -> "Network":
+        """Network on ``n`` vertices from an ``(m, 2)`` int64 edge buffer,
+        which it overwrites.
+
+        After the range check, ``indptr`` comes from a ``bincount`` of the
+        endpoints. Each pair ``(u, v)`` is then rewritten in place as its
+        two arc keys ``u * n + v`` and ``v * n + u``; one sort of the buffer
+        orders every row, and reducing it modulo ``n`` in place leaves the
+        sorted ``indices``. Beside the buffer it makes one ``(m,)`` column,
+        half a per-arc array. The result passes through the validating
+        constructor, which finds every row sorted and sorts only the
+        reversed arcs for its symmetry check. ``read_edge_list`` passes its
+        parsed file straight in.
+        """
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             u, v = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        # Both arcs of every edge, grouped by source; rows are sorted later.
-        # Arc p of the flat endpoint list runs from src[p] to src[p ^ 1].
-        src = edges.ravel()
-        order = np.argsort(src, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        order ^= 1
-        indices = src[order]
-        del order
-        return cls(indptr, indices)
+        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=indptr[1:])
+        first = edges[:, 0].copy()
+        edges[:, 0] *= n
+        edges[:, 0] += edges[:, 1]
+        edges[:, 1] *= n
+        edges[:, 1] += first
+        del first
+        keys = edges.reshape(-1)
+        keys.sort()
+        keys %= n
+        return cls(indptr, keys)
 
 
 def _int64_array(values) -> np.ndarray:
@@ -270,10 +299,11 @@ def build_torus_grid(width: int, height: int) -> Network:
 
     Vertex (x, y) has index ``x + y * width`` and is adjacent to
     (x +/- 1 mod width, y) and (x, y +/- 1 mod height). The sorted rows of
-    :func:`_torus_rows` are final CSR arrays, so the network is built
-    through the trusted door without validation, marked connected, and
-    carries its shape: :meth:`Network.torus_shape` returns ``(width,
-    height)`` without a check. Both dimensions must be at least 3,
+    :func:`_torus_rows`, made without a per-row sort, are final CSR arrays,
+    so the network is built through the trusted door without validation or
+    a sort, holding one ``(n,)`` temporary beside what it keeps, marked
+    connected, and carries its shape: :meth:`Network.torus_shape` returns
+    ``(width, height)`` without a check. Both dimensions must be at least 3,
     otherwise wrap-around neighbours would coincide and the graph would
     not be simple and 4-regular.
     """
@@ -286,13 +316,26 @@ def build_torus_grid(width: int, height: int) -> Network:
 
 def _torus_rows(width: int, height: int) -> np.ndarray:
     """The ``(n, 4)`` neighbours of the row-major torus, each row sorted:
-    row ``x + y * width`` holds the neighbours at x +/- 1 and y +/- 1."""
-    x = np.tile(np.arange(width, dtype=np.int64), height)
-    row = np.repeat(np.arange(height, dtype=np.int64) * width, width)
+    row ``x + y * width`` holds the neighbours at x +/- 1 and y +/- 1.
+
+    An interior row is ``v - width, v - 1, v + 1, v + width``, already in
+    order, so the rows are filled that way without a sort; only the ``2 *
+    width + 2 * height - 4`` rim rows (first and last row and column) wrap,
+    and they alone are recomputed and sorted. Beside the result it holds
+    one ``(n,)`` array.
+    """
     n = width * height
-    rows = np.stack([(x + 1) % width + row, (x - 1) % width + row,
-                     (row + width) % n + x, (row - width) % n + x], axis=1)
-    rows.sort(axis=1)
+    rows = np.repeat(np.arange(n, dtype=np.int64), 4).reshape(n, 4)
+    rows += (-width, -1, 1, width)
+    top = np.arange(width, dtype=np.int64)
+    left = np.arange(width, n - width, width, dtype=np.int64)
+    rim = np.concatenate([top, top + n - width, left, left + width - 1])
+    x = rim % width
+    y = rim - x
+    wrapped = np.stack([(x + 1) % width + y, (x - 1) % width + y,
+                        (y + width) % n + x, (y - width) % n + x], axis=1)
+    wrapped.sort(axis=1)
+    rows[rim] = wrapped
     return rows
 
 
@@ -506,7 +549,7 @@ def compute_metrics(network: Network) -> GraphMetrics:
 
 
 # Vertices whose edges are formatted at once by write_edge_list.
-_WRITE_ROWS = 1 << 15
+_WRITE_ROWS = 1 << 12
 
 
 def write_edge_list(network: Network, path: str) -> None:
@@ -537,6 +580,9 @@ def read_edge_list(path: str) -> Network:
     token path, ``str.split`` and ``int`` per token, which reads what
     ``int`` reads (signs, leading zeros, digit underscores, any whitespace
     ``str.split`` knows) and alone writes the header and count messages.
+    The parsed buffer goes straight to ``Network._from_arcs``, which turns
+    it into the sorted arc keys in place, so the bytes are dropped first
+    and at most two per-arc temporaries are held beside the buffer.
     Every malformed-input error is a ``ValueError`` whose message starts
     with ``path``.
     """
@@ -547,7 +593,7 @@ def read_edge_list(path: str) -> Network:
         n, edges = parsed or _token_edges(data)
         del data
         try:
-            return Network.from_edges(n, edges)
+            return Network._from_arcs(n, edges)
         except MemoryError:
             raise ValueError(f"header vertex count n={n} is too large to allocate") from None
     except ValueError as exc:

@@ -276,9 +276,9 @@ class TestRunSweep:
         # a fork pool starts every worker at the first submit, so a small grid
         # must not ask for more workers than it has cells; the stub maps
         # in-process and records what the pool was asked for
+        import concurrent.futures
         import json
 
-        import peerpressure.experiments as experiments
         from peerpressure.cli import main
 
         requested = []
@@ -296,7 +296,7 @@ class TestRunSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         spec = _tiny_spec(e_h_count=2, rho_h_count=2)
         want = format_sweep_csv(run_sweep(spec, workers=1))
         assert requested == []

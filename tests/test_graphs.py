@@ -619,21 +619,42 @@ def test_edge_list_byte_parse_is_taken(tmp_path, monkeypatch):
         read_edge_list(str(path))
 
 
-def test_edge_list_read_peak_memory(tmp_path):
-    """Reading a 100x100 torus allocates at most five times the arrays it
-    keeps: no list of tokens, and few per-arc int64 temporaries."""
+def _traced_peak(build):
+    """``build()`` and the peak bytes that tracemalloc saw it allocate."""
     import tracemalloc
 
-    path = str(tmp_path / "g.edges")
-    write_edge_list(build_torus_grid(100, 100), path)
     tracemalloc.start()
     try:
-        g = read_edge_list(path)
+        result = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes
-    assert peak <= 5 * kept, peak / kept
+    return result, peak
+
+
+def _kept_bytes(g):
+    return g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes
+
+
+def test_edge_list_read_peak_memory(tmp_path):
+    """Reading a 100x100 torus allocates at most three times the arrays it
+    keeps: no list of tokens, and few per-arc int64 temporaries."""
+    path = str(tmp_path / "g.edges")
+    write_edge_list(build_torus_grid(100, 100), path)
+    g, peak = _traced_peak(lambda: read_edge_list(path))
+    assert peak <= 3 * _kept_bytes(g), peak / _kept_bytes(g)
+
+
+def test_torus_build_peak_memory():
+    """A 100x100 torus is built within one and a half times the arrays it
+    keeps, and recognised within twice its ``indices``: its rows are made
+    without a per-row sort."""
+    g, peak = _traced_peak(lambda: build_torus_grid(100, 100))
+    assert peak <= 1.5 * _kept_bytes(g), peak / _kept_bytes(g)
+    unmarked = Network(g.indptr, g.indices)
+    shape, peak = _traced_peak(unmarked.torus_shape)
+    assert shape == (100, 100)
+    assert peak <= 2 * g.indices.nbytes, peak / g.indices.nbytes
 
 
 @given(seed=st.integers(0, 10_000))
