@@ -220,9 +220,9 @@ class Network:
     def from_edges(cls, n: int, edges) -> "Network":
         """Network on ``n`` vertices from ``m`` edges, an ``(m, 2)`` array or a list of pairs.
 
-        The edges are copied once, as int64, and never written to; the
-        copy is built by :meth:`_from_arcs`, which sorts it once and holds
-        one more per-arc temporary, and validated by the constructor.
+        The edges are copied once, as int64, and never written to.
+        :meth:`_from_arcs` turns the copy into the sorted arcs in place
+        with one sort, and the validating constructor checks them.
         """
         return cls._from_arcs(n, _int64_array(edges).reshape(-1, 2).copy())
 
