@@ -99,8 +99,8 @@ class TestNetworkValidation:
         assert g.indices.tolist() == [1, 2, 0, 0]
 
     # (rows, the message or None): empty rows first, in the middle and
-    # last; a repeat inside a sorted row and inside an unsorted one; an
-    # asymmetric arc with sorted rows
+    # last; a repeat inside a sorted row and inside an unsorted one; a
+    # self-loop; asymmetric arcs with sorted rows
     ROW_CASES = [
         ([[], [2, 5], [1, 5], [], [], [1, 2], []], None),
         ([[], [3], [3], [1, 2]], None),
