@@ -100,7 +100,8 @@ class TestNetworkValidation:
 
     # (rows, the message or None): empty rows first, in the middle and
     # last; a repeat inside a sorted row and inside an unsorted one; a
-    # self-loop; asymmetric arcs with sorted rows
+    # self-loop; asymmetric arcs with sorted rows; then two large networks
+    # whose rows are reordered in the same ways
     ROW_CASES = [
         ([[], [2, 5], [1, 5], [], [], [1, 2], []], None),
         ([[], [3], [3], [1, 2]], None),
@@ -109,27 +110,40 @@ class TestNetworkValidation:
         ([[3, 1, 3], [0], [], [0, 0]], "duplicate edge (0, 3)"),
         ([[], [2, 3], [1], [1, 3]], "self-loop at vertex 3"),
         ([[1, 2], [0, 2], [0]], "asymmetric edge (1, 2)"),
+        pytest.param(lambda: build_torus_grid(300, 300), None, id="torus-300x300"),
+        pytest.param(lambda: sample_random_regular(1000, 10, np.random.default_rng(30)), None,
+                     id="regular-1000-10"),
     ]
 
     @pytest.mark.parametrize("rows, message", ROW_CASES)
     def test_row_order_does_not_change_the_result(self, rows, message):
-        """Rows given sorted, reversed or shuffled store identical arrays,
-        or raise the identical message."""
+        """Rows given sorted, reversed or shuffled within rows store
+        identical int64 arrays, or raise the identical message, and the
+        caller's arrays are left as they were."""
         rng = np.random.default_rng(29)
-        indptr = np.cumsum([0] + [len(row) for row in rows])
-        orders = {"as given": rows, "sorted": [sorted(row) for row in rows],
-                  "reversed": [sorted(row)[::-1] for row in rows],
-                  "shuffled": [rng.permutation(row).tolist() for row in rows]}
-        for name, ordered in orders.items():
-            indices = np.array([v for row in ordered for v in row], dtype=np.int64)
-            if message is not None:
+        if callable(rows):
+            built = rows()
+            indptr, given = built.indptr.copy(), built.indices.copy()
+        else:
+            indptr = np.cumsum([0] + [len(row) for row in rows])
+            given = np.array([v for row in rows for v in row], dtype=np.int64)
+        src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        orders = {"as given": given, "sorted": given[np.lexsort((given, src))],
+                  "reversed": given[np.lexsort((-given, src))],
+                  "shuffled": given[np.lexsort((rng.random(given.size), src))]}
+        for name, indices in orders.items():
+            before = indptr.copy(), indices.copy()
+            if message is None:
+                g = Network(indptr, indices)
+                assert g.indptr.dtype == g.indices.dtype == g.degrees.dtype == np.int64, name
+                assert np.array_equal(g.indptr, indptr), name
+                assert np.array_equal(g.indices, orders["sorted"]), name
+                assert np.array_equal(g.degrees, np.diff(indptr)), name
+            else:
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     Network(indptr, indices)
-                continue
-            g = Network(indptr, indices)
-            assert g.indptr.tolist() == indptr.tolist(), name
-            assert g.indices.dtype == np.int64, name
-            assert [g.neighbors(u) for u in range(len(rows))] == orders["sorted"], name
+            assert np.array_equal(indptr, before[0]), name
+            assert np.array_equal(indices, before[1]), name
 
     def test_from_edges_leaves_its_input_unchanged(self):
         edges = np.array([[2, 0], [0, 1], [3, 2], [1, 2]], dtype=np.int64)
