@@ -208,6 +208,9 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.instances is not None and args.instances < 1:
         raise ValueError(f"--instances must be positive, got {args.instances}")
+    if args.suite == "oscillation" and args.instances is not None:
+        raise ValueError("--instances does not apply to oscillation, which always runs "
+                         "its two instances K(3, 7) and K(5, 11)")
     if args.out:
         _check_output_dir(args.out)
     names = list(SUITES) if args.suite == "all" else [args.suite]

@@ -69,11 +69,14 @@ class NetworkSpec:
                                  f"got {getattr(self, f.name)!r}")
 
     def build(self, seed: np.random.SeedSequence | int | None = None) -> Network:
-        if self.kind == "torus":
-            return build_torus_grid(self.width, self.height)
-        if seed is None:
-            raise ValueError("sampling a regular network requires a seed")
-        return sample_random_regular(self.n, self.degree, np.random.default_rng(seed))
+        try:
+            if self.kind == "torus":
+                return build_torus_grid(self.width, self.height)
+            if seed is None:
+                raise ValueError("sampling a regular network requires a seed")
+            return sample_random_regular(self.n, self.degree, np.random.default_rng(seed))
+        except MemoryError:
+            raise ValueError(f"{self.label()} is too large to allocate") from None
 
     def label(self) -> str:
         if self.kind == "torus":

@@ -43,13 +43,13 @@ class Network:
 
     ``Network(indptr, indices)`` is the validating door, for user input:
     it checks every condition above and raises ``ValueError`` naming the
-    first offending vertex or edge. One boolean pass finds whether every
-    row already rises strictly. Such rows are sorted and free of repeats,
-    so they are stored as given (int64 input is not copied); only when
-    some row does not rise are the arc keys ``u * n + v`` sorted and
-    checked for repeats. Beside its input it holds two per-arc int64
-    temporaries, the arc sources and the sorted reversed arcs that test
-    symmetry, plus the sorted keys when rows needed sorting.
+    first offending vertex or edge. One stable sort of the arc keys ``u *
+    n + v`` orders every row and brings repeats side by side; on rows that
+    are already sorted it is one linear pass. The sorted keys, reduced
+    modulo ``n`` in place, are the stored ``indices``, always the door's
+    own array; ``indptr`` is kept as given when it is int64. Beside its
+    input it holds two per-arc int64 temporaries for any row order: the
+    keys and the sorted reversed arcs ``v * n + u`` that test symmetry.
     :meth:`from_edges` and :func:`read_edge_list` sort their arcs once and
     hand this door sorted rows. The package's generators use the trusted
     door instead, ``Network._trusted`` (or ``_from_adjacency``), which
@@ -86,34 +86,25 @@ class Network:
         loops = np.flatnonzero(indices == src)
         if loops.size:
             raise ValueError(f"self-loop at vertex {src[loops[0]]}")
-        # Rows that rise strictly are sorted and free of repeats. The
-        # comparison across each row start is forced true; a start at 0
-        # (an empty first row) would index -1, the last comparison.
-        rising = indices[1:] > indices[:-1]
-        rising[indptr[(indptr > 0) & (indptr < indices.size)] - 1] = True
-        if rising.all():
-            keys = indices
-        else:
-            # One sort orders every row (src is already non-decreasing) and
-            # brings repeated neighbours side by side.
-            keys = src * n
-            keys += indices
-            keys.sort()
-            dup = np.flatnonzero(keys[1:] == keys[:-1])
-            if dup.size:
-                u, v = divmod(int(keys[dup[0]]), n)
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            keys %= n
-        del rising
         # Symmetric exactly when the reversed arcs are the same set.
-        reverse = keys * n
+        reverse = indices * n
         reverse += src
+        # src, non-decreasing, becomes the keys in place; one stable sort
+        # orders every row and brings repeated neighbours side by side, and
+        # timsort passes once over rows that are already sorted.
+        keys = src
+        keys *= n
+        keys += indices
+        keys.sort(kind="stable")
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            u, v = divmod(int(keys[dup[0]]), n)
+            raise ValueError(f"duplicate edge ({u}, {v})")
         reverse.sort()
-        src *= n
-        src += keys
-        if not np.array_equal(src, reverse):
-            u, v = divmod(int(np.setdiff1d(src, reverse, assume_unique=True)[0]), n)
+        if not np.array_equal(keys, reverse):
+            u, v = divmod(int(np.setdiff1d(keys, reverse, assume_unique=True)[0]), n)
             raise ValueError(f"asymmetric edge ({u}, {v})")
+        keys %= n
         self.indptr = indptr
         self.indices = keys
         self.degrees = degrees
@@ -237,9 +228,9 @@ class Network:
         orders every row, and reducing it modulo ``n`` in place leaves the
         sorted ``indices``. Beside the buffer it makes one ``(m,)`` column,
         half a per-arc array. The result passes through the validating
-        constructor, which finds every row sorted and sorts only the
-        reversed arcs for its symmetry check. ``read_edge_list`` passes its
-        parsed file straight in.
+        constructor, whose stable key sort passes once over the sorted rows
+        and which sorts the reversed arcs for its symmetry check.
+        ``read_edge_list`` passes its parsed file straight in.
         """
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             u, v = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()

@@ -210,6 +210,20 @@ def test_simulate_impossible_vertex_count_is_usage_error(tmp_path, capsys):
     assert "rounds=" not in captured.out
 
 
+HUGE = "268435456"
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--torus", HUGE, HUGE, "--out", "/dev/null"),
+    ("simulate", "--torus", HUGE, HUGE, *MAIN_FLAGS, "--seed", "0"),
+], ids=["generate", "simulate"])
+def test_unallocatable_torus_is_usage_error(capsys, argv):
+    # 2**56 vertices: the row offsets alone would take 512 PiB, which fails at once
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: torus:{HUGE}x{HUGE} is too large to allocate\n"
+
+
 def test_simulate_empty_network_is_usage_error(tmp_path, capsys):
     edges = tmp_path / "empty.edges"
     edges.write_text("0 0\n")
@@ -405,10 +419,14 @@ SWEEP_CONFIG = {"network": "torus", "width": 5, "height": 5, "e_h_count": 2, "rh
      None, "cannot write {tmp}/missing/r.csv: no directory {tmp}/missing"),
     (("generate", "--torus", "5", "5", "--out", "{tmp}/missing/g.edges"), None,
      "cannot write {tmp}/missing/g.edges: no directory {tmp}/missing"),
+    (("verify", "oscillation", "--seed", "1", "--instances", "7"), None,
+     "--instances does not apply to oscillation, which always runs its two instances "
+     "K(3, 7) and K(5, 11)"),
 ], ids=["simulate-epsilon-zero", "simulate-epsilon-above-one", "simulate-negative-rounds",
         "simulate-negative-seed", "generate-negative-seed", "verify-negative-seed",
         "sweep-rho-d-zero", "sweep-negative-master-seed", "simulate-missing-out-dir",
-        "sweep-missing-out-dir", "verify-missing-out-dir", "generate-missing-out-dir"])
+        "sweep-missing-out-dir", "verify-missing-out-dir", "generate-missing-out-dir",
+        "verify-oscillation-instances"])
 def test_rejects_input_before_effective_config(tmp_path, capsys, argv, sweep, message):
     # each of these used to print effective-config and fail only inside the run
     if sweep is not None:
@@ -472,6 +490,7 @@ def test_verify_all_runs_the_reduction_suite_once(monkeypatch, tmp_path, capsys)
     stdout = capsys.readouterr().out
     assert "suite reduction: 4/4 passed" in stdout
     assert "suite extinction: 4/4 passed" in stdout
+    assert "suite oscillation: 2/2 passed" in stdout
 
 
 def test_verify_reduction_runs_each_trajectory_once(monkeypatch, capsys):

@@ -671,6 +671,21 @@ def test_torus_build_peak_memory():
     assert peak <= 2 * g.indices.nbytes, peak / g.indices.nbytes
 
 
+def test_validation_peak_memory():
+    """The validating door checks a 100x100 torus within two and a half
+    times its ``indices`` for any row order: beside its input it holds the
+    sorted keys and the sorted reversed arcs."""
+    g = build_torus_grid(100, 100)
+    rows = g.indices.reshape(-1, 4)
+    orders = {"sorted": rows, "reversed": rows[:, ::-1],
+              "shuffled": np.random.default_rng(30).permuted(rows, axis=1)}
+    for name, ordered in orders.items():
+        indices = np.ascontiguousarray(ordered).ravel()
+        built, peak = _traced_peak(lambda: Network(g.indptr, indices))
+        assert np.array_equal(built.indices, g.indices), name
+        assert peak <= 2.5 * indices.nbytes, (name, peak / indices.nbytes)
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_random_graph_edge_list_round_trip(tmp_path_factory, seed):
