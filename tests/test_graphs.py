@@ -118,12 +118,12 @@ class TestNetworkValidation:
     @pytest.mark.parametrize("rows, message", ROW_CASES)
     def test_row_order_does_not_change_the_result(self, rows, message):
         """Rows given sorted, reversed or shuffled within rows store
-        identical int64 arrays, or raise the identical message, and the
-        caller's arrays are left as they were."""
+        identical int64 arrays, ``indices`` never the caller's, or raise the
+        identical message, and the caller's arrays are left as they were."""
         rng = np.random.default_rng(29)
         if callable(rows):
             built = rows()
-            indptr, given = built.indptr.copy(), built.indices.copy()
+            indptr, given = built.indptr, built.indices
         else:
             indptr = np.cumsum([0] + [len(row) for row in rows])
             given = np.array([v for row in rows for v in row], dtype=np.int64)
@@ -139,6 +139,7 @@ class TestNetworkValidation:
                 assert np.array_equal(g.indptr, indptr), name
                 assert np.array_equal(g.indices, orders["sorted"]), name
                 assert np.array_equal(g.degrees, np.diff(indptr)), name
+                assert not np.shares_memory(g.indices, indices), name
             else:
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     Network(indptr, indices)
