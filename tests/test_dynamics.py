@@ -15,17 +15,22 @@ from peerpressure import (
     TwoOrderParams,
     UpdateRule,
     build_torus_grid,
+    compute_metrics,
+    convergence_round,
     decision_table,
     format_trace_csv,
     punishing_counts,
+    read_edge_list,
     reference_step,
     run,
     step,
+    write_edge_list,
     write_trace_csv,
 )
 
 import peerpressure.graphs
 from peerpressure import dynamics
+from peerpressure.analysis import convergence_bound
 
 from conftest import table_for
 
@@ -708,10 +713,54 @@ def test_step_matches_reference_on_large_networks(graphs, rule_name, graph_name,
     assert table.is_tied.take(k).any() == (param_set == "tie-rich")
 
 
+def _paper_torus(width, height, door, tmp_path):
+    """The torus through one door, and each grid vertex's label in it."""
+    torus = build_torus_grid(width, height)
+    labels = np.arange(width * height)
+    if door == "edge-list":
+        write_edge_list(torus, str(tmp_path / "torus.edges"))
+        torus = read_edge_list(str(tmp_path / "torus.edges"))
+        assert torus.torus_shape() == (width, height)
+    elif door == "relabelled":
+        labels = np.random.default_rng(5).permutation(width * height)
+        torus = Network.from_edges(width * height, labels[np.array(torus.edges())])
+        assert torus.torus_shape() is None  # counted by the bincount
+    return torus, labels
+
+
+@pytest.mark.parametrize("door", ["built", "edge-list", "relabelled"])
+@pytest.mark.parametrize("width, height", [(300, 300), (301, 300)])
+def test_paper_scale_torus_laws(width, height, door, tmp_path, grid_params):
+    # the greedy main rule in the contagion regime has closed-form counts on
+    # a torus; seeding on the rim makes the front cross both wrap seams
+    torus, labels = _paper_torus(width, height, door, tmp_path)
+    n = width * height
+    rule = UpdateRule.main_greedy()
+    # one hypocrite: for 1 <= t < min(width, height) / 2, the non-defectors
+    # of round t are the vertices within distance t at the parity of t
+    rounds = (min(width, height) - 1) // 2
+    t = np.arange(1, rounds + 1)
+    law = np.stack([n - (t + 1) ** 2, 4 * t, (t - 1) ** 2], axis=1)
+    for seed in (0, n - 1):
+        init = np.full(n, D, dtype=np.int8)
+        init[labels[seed]] = H
+        trace = run(torus, init, grid_params, rule, np.random.default_rng(0), rounds)
+        assert np.array_equal(trace.counts[1:], law), seed
+    if width % 2 or height % 2:
+        return
+    # two adjacent hypocrites on an even torus: full cooperation at exactly
+    # round diameter, one round inside the bipartite bound diameter + 1; the
+    # built torus has its metrics in closed form, which every door shares
+    bound = convergence_bound(compute_metrics(build_torus_grid(width, height)))
+    assert bound == width // 2 + height // 2 + 1
+    init = np.full(n, D, dtype=np.int8)
+    init[labels[[0, 1]]] = H
+    trace = run(torus, init, grid_params, rule, np.random.default_rng(0), bound)
+    assert convergence_round(trace) == bound - 1
+
+
 class TestPunishingPath:
     def test_stencil_on_every_exact_torus(self, graphs, tmp_path, grid_params, monkeypatch):
-        from peerpressure import read_edge_list, write_edge_list
-
         stencil_counts = peerpressure.graphs._torus_counts
         calls = []
 
