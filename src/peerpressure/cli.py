@@ -7,7 +7,7 @@ an ``effective-config`` line holding the fully resolved settings as flat
 JSON, from which the run can be reproduced exactly.
 
 Exit codes: 0 on success, 1 when a verification suite fails or generation
-gives up, 2 on usage or configuration errors.
+gives up, 2 on usage or configuration errors and when memory runs out.
 """
 
 from __future__ import annotations
@@ -304,6 +304,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the round budget or the network is too large to hold",
+              file=sys.stderr)
         return 2
 
 

@@ -425,7 +425,8 @@ def _try_pairing(n: int, d: int, rng: np.random.Generator) -> Network | None:
             for v in neighbors[u]:
                 neighbors[v].discard(u)
             neighbors[u].clear()
-        alive = [u for u in alive if u not in set(leftovers)]
+        dropped = set(leftovers)
+        alive = [u for u in alive if u not in dropped]
         if len(alive) <= d:
             return None
     # Survivors keep their order, renumbered 0..len(alive)-1.

@@ -6,7 +6,7 @@ from pathlib import Path
 import peerpressure
 
 # Function parameters with a default value, across the whole package.
-MAX_DEFAULTED_PARAMETERS = 12
+MAX_DEFAULTED_PARAMETERS = 7
 
 
 def _defaulted(tree: ast.AST):
