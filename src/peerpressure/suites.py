@@ -95,7 +95,7 @@ def _random_gnp(rng: np.random.Generator, n: int, p: float | None = None) -> Net
     """
     if p is None:
         p = min(1.0, (np.log(max(n, 2)) + 1.0) / max(n - 1, 1))
-    # one mask per call: masking each redraw with np.triu made verify all ~15% slower
+    # one mask per call, reused by the redraws: np.triu on each draw slowed verify all 7-19%
     strict_upper = np.arange(n)[:, None] < np.arange(n)
     while True:
         upper = (rng.random((n, n)) < p) & strict_upper
