@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peerpressure import (
     GenerationError,
@@ -24,6 +24,56 @@ from conftest import (
     petersen,
     random_connected_gnp,
 )
+
+
+def door_oracle(rows: list[list[int]]):
+    """What ``Network(indptr, indices)`` makes of neighbour ``rows``, by
+    sets: the sorted rows, or the message of the first failed check, in the
+    door's order. Range and self-loop name the first offending arc in row
+    order; repeats and one-way arcs name the smallest such (u, v)."""
+    n = len(rows)
+    arcs = [(u, v) for u, row in enumerate(rows) for v in row]
+    for u, v in arcs:
+        if not 0 <= v < n:
+            return f"neighbour {v} of vertex {u} out of range"
+    for u, v in arcs:
+        if u == v:
+            return f"self-loop at vertex {u}"
+    repeated = sorted({arc for arc in arcs if arcs.count(arc) > 1})
+    if repeated:
+        return "duplicate edge ({}, {})".format(*repeated[0])
+    one_way = sorted(set(arcs) - {(v, u) for u, v in arcs})
+    if one_way:
+        return "asymmetric edge ({}, {})".format(*one_way[0])
+    return [sorted(row) for row in rows]
+
+
+@st.composite
+def door_rows(draw):
+    """Neighbour rows on at most 8 vertices: a simple graph, then a few
+    arcs added (out of range, self-loops, repeats, one-way, or both ways)
+    and removed, with each row left sorted, as built or shuffled."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [[] for _ in range(n)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        rows[u].append(v)
+        rows[v].append(u)
+    ends = st.sampled_from([*range(n)] * 4 + [-1, n])  # now and then out of range
+    for u, v, both in draw(st.lists(st.tuples(st.integers(0, n - 1), ends, st.booleans()),
+                                    max_size=3)) if n else []:
+        rows[u].insert(draw(st.integers(0, len(rows[u]))), v)
+        if both and 0 <= v < n:
+            rows[v].insert(draw(st.integers(0, len(rows[v]))), u)
+    for u in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []:
+        if rows[u]:
+            del rows[u][draw(st.integers(0, len(rows[u]) - 1))]
+    order = draw(st.sampled_from(["sorted", "as built", "shuffled"]))
+    if order == "sorted":
+        rows = [sorted(row) for row in rows]
+    elif order == "shuffled":
+        rows = [draw(st.permutations(row)) for row in rows]
+    return rows
 
 
 class TestNetworkValidation:
@@ -145,6 +195,28 @@ class TestNetworkValidation:
                     Network(indptr, indices)
             assert np.array_equal(indptr, before[0]), name
             assert np.array_equal(indices, before[1]), name
+
+    @given(door_rows())
+    @settings(max_examples=300, deadline=None)
+    @example([[1, 2, 2], [0], [0, 0]])  # sorted rows that a residue test alone accepts
+    @example([[1, 2], [0], []])         # sorted rows with a one-way arc
+    def test_door_matches_a_set_oracle(self, rows):
+        """The door stores the sorted rows or raises the oracle's exact
+        message, and leaves the caller's arrays as they were."""
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        indices = np.array([v for row in rows for v in row], dtype=np.int64)
+        before = indptr.copy(), indices.copy()
+        want = door_oracle(rows)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                Network(indptr, indices)
+        else:
+            g = Network(indptr, indices)
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert np.array_equal(g.indptr, indptr)
+            assert g.indices.tolist() == [v for row in want for v in row]
+            assert not np.shares_memory(g.indices, indices)
+        assert np.array_equal(indptr, before[0]) and np.array_equal(indices, before[1])
 
     def test_from_edges_leaves_its_input_unchanged(self):
         edges = np.array([[2, 0], [0, 1], [3, 2], [1, 2]], dtype=np.int64)
