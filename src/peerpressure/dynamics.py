@@ -450,14 +450,20 @@ def run(network: Network, initial: np.ndarray, params, rule: UpdateRule, ties,
             termination = settled
         else:
             # rounds t + 2, t + 3, ... repeat config, nxt, config, ..., which
-            # are one configuration at a fixed point
-            rest = max_rounds - 1 - t
-            pairs = (rest + 1) // 2
-            counts += (counts[-2:] * pairs)[:rest]
+            # are one configuration at a fixed point; a budget whose rows no
+            # address space holds is out of memory, as a smaller one is
+            if (max_rounds + 1) * width * 8 > np.iinfo(np.intp).max:
+                raise MemoryError(f"{max_rounds} rounds of counts exceed any address space")
+            rows = np.empty((max_rounds + 1, width), dtype=np.int64)
+            rows[:t + 2] = counts
+            rows[t + 2::2] = counts[-2]
+            rows[t + 3::2] = counts[-1]
+            counts = rows
             if record_snapshots:
-                snapshots += ([config, nxt] * pairs)[:rest]
+                rest = max_rounds - 1 - t
+                snapshots += ([config, nxt] * ((rest + 1) // 2))[:rest]
         break
-    return Trace(counts=np.array(counts, dtype=np.int64), termination=termination,
+    return Trace(counts=np.asarray(counts, dtype=np.int64), termination=termination,
                  rule=rule, params=params,
                  snapshots=None if snapshots is None else np.stack(snapshots))
 

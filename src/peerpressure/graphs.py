@@ -43,13 +43,14 @@ class Network:
 
     ``Network(indptr, indices)`` is the validating door, for user input:
     it checks every condition above and raises ``ValueError`` naming the
-    first offending vertex or edge. One stable sort of the arc keys ``u *
-    n + v`` orders every row and brings repeats side by side; on rows that
-    are already sorted it is one linear pass. The sorted keys, reduced
-    modulo ``n`` in place, are the stored ``indices``, always the door's
-    own array; ``indptr`` is kept as given when it is int64. Beside its
-    input it holds two per-arc int64 temporaries for any row order: the
-    keys and the sorted reversed arcs ``v * n + u`` that test symmetry.
+    first offending vertex or edge. Strictly rising rows cost one sort of
+    the reversed arcs ``v * n + u``, built in the array it keeps: reduced
+    modulo ``n`` they equal ``indices`` exactly when the arcs are
+    symmetric, and are stored. Any other input takes one stable sort of
+    the arc keys ``u * n + v``, which orders every row and brings repeats
+    side by side, and a sort of the reversed arcs. Beside its input the
+    door holds one per-arc int64 array on rising rows, two otherwise; the
+    stored ``indices`` is its own, ``indptr`` is kept as given when int64.
     :meth:`from_edges` and :func:`read_edge_list` sort their arcs once and
     hand this door sorted rows. The package's generators use the trusted
     door instead, ``Network._trusted`` (or ``_from_adjacency``), which
@@ -86,6 +87,20 @@ class Network:
         loops = np.flatnonzero(indices == src)
         if loops.size:
             raise ValueError(f"self-loop at vertex {src[loops[0]]}")
+        # Strictly rising rows repeat no arc. Their reversed arcs, sorted and
+        # reduced modulo n, equal indices only if every in-degree is the
+        # degree, so only if they are the sorted keys: the arcs are symmetric.
+        # Any other input, and every message, takes the key sort below.
+        if ((indices[1:] > indices[:-1]) | (src[1:] != src[:-1])).all():
+            reverse = src  # becomes v * n + u in place, 8192 arcs at a time
+            for lo in range(0, reverse.size, 8192):
+                reverse[lo:lo + 8192] += indices[lo:lo + 8192] * n
+            reverse.sort()
+            reverse %= n
+            if np.array_equal(reverse, indices):
+                self.indptr, self.indices, self.degrees = indptr, reverse, degrees
+                return
+            src = np.repeat(np.arange(n, dtype=np.int64), degrees)
         # Symmetric exactly when the reversed arcs are the same set.
         reverse = indices * n
         reverse += src
@@ -105,9 +120,7 @@ class Network:
             u, v = divmod(int(np.setdiff1d(keys, reverse, assume_unique=True)[0]), n)
             raise ValueError(f"asymmetric edge ({u}, {v})")
         keys %= n
-        self.indptr = indptr
-        self.indices = keys
-        self.degrees = degrees
+        self.indptr, self.indices, self.degrees = indptr, keys, degrees
 
     @classmethod
     def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, connected: bool | None,
@@ -228,9 +241,9 @@ class Network:
         orders every row, and reducing it modulo ``n`` in place leaves the
         sorted ``indices``. Beside the buffer it makes one ``(m,)`` column,
         half a per-arc array. The result passes through the validating
-        constructor, whose stable key sort passes once over the sorted rows
-        and which sorts the reversed arcs for its symmetry check.
-        ``read_edge_list`` passes its parsed file straight in.
+        constructor, which on these sorted rows sorts only the reversed
+        arcs, in the array it keeps. ``read_edge_list`` passes its parsed
+        file straight in.
         """
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             u, v = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()
@@ -573,8 +586,8 @@ def read_edge_list(path: str) -> Network:
     ``int`` reads (signs, leading zeros, digit underscores, any whitespace
     ``str.split`` knows) and alone writes the header and count messages.
     The parsed buffer goes straight to ``Network._from_arcs``, which turns
-    it into the sorted arc keys in place, so the bytes are dropped first
-    and at most two per-arc temporaries are held beside the buffer.
+    it into the sorted rows in place, so the bytes are dropped first and
+    the door's kept ``indices`` is the one per-arc array beside it.
     Every malformed-input error is a ``ValueError`` whose message starts
     with ``path``.
     """

@@ -224,29 +224,28 @@ def test_unallocatable_torus_is_usage_error(capsys, argv):
     assert err == f"error: torus:{HUGE}x{HUGE} is too large to allocate\n"
 
 
-HUGE_ROUNDS = 10**15
-
-
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_unholdable_round_budget_is_usage_error(tmp_path, capsys, command):
     # the run settles within a few rounds; filling its settled tail would
-    # take 10**15 rows, more than any address space, which fails at once
-    if command == "simulate":
-        argv = ("simulate", "--torus", "10", "10", "--e-h", "0.1", "--rho-h", "0.23",
-                "--rho-d", "0.45", "--epsilon", "0.3", "--rounds", str(HUGE_ROUNDS),
-                "--seed", "3")
-    else:
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"network": "torus", "width": 6, "height": 6,
-                                   "e_h_count": 1, "rho_h_count": 1, "rho_d": 0.45,
-                                   "epsilon": 0.2, "rounds": HUGE_ROUNDS,
-                                   "repetitions": 1, "master_seed": 9}))
-        argv = ("sweep", str(cfg), "--out-prefix", str(tmp_path / "p"))
-    assert run_cli(*argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: out of memory"), captured.err
-    assert "Traceback" not in captured.err
-    assert "rounds=" not in captured.out and "wrote" not in captured.out
+    # take 10**15 rows, more than any address space, which fails at once;
+    # 10**18 rows are past even the largest array numpy can describe
+    for rounds in (10**15, 10**18):
+        if command == "simulate":
+            argv = ("simulate", "--torus", "10", "10", "--e-h", "0.1", "--rho-h", "0.23",
+                    "--rho-d", "0.45", "--epsilon", "0.3", "--rounds", str(rounds),
+                    "--seed", "3")
+        else:
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps({"network": "torus", "width": 6, "height": 6,
+                                       "e_h_count": 1, "rho_h_count": 1, "rho_d": 0.45,
+                                       "epsilon": 0.2, "rounds": rounds,
+                                       "repetitions": 1, "master_seed": 9}))
+            argv = ("sweep", str(cfg), "--out-prefix", str(tmp_path / "p"))
+        assert run_cli(*argv) == 2, rounds
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory"), (rounds, captured.err)
+        assert "Traceback" not in captured.err
+        assert "rounds=" not in captured.out and "wrote" not in captured.out
 
 
 def test_simulate_empty_network_is_usage_error(tmp_path, capsys):

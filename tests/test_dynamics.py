@@ -242,6 +242,24 @@ class TestRun:
         assert trace.counts.shape[0] == trace.rounds + 1
         _assert_snapshot_stack(trace, 25)
 
+    def test_settled_tail_peak_memory(self, torus5, grid_params):
+        # the rows after a run settles are written into the one int64 array
+        # it returns, 24 bytes a round, with no Python list of them first
+        init = np.zeros(25, dtype=np.int8)
+        init[0] = C
+        rounds = 10**5
+        tracemalloc.start()
+        try:
+            trace = run(torus5, init, grid_params, UpdateRule.main_greedy(),
+                        np.random.default_rng(1), max_rounds=rounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.termination is Termination.MAX_ROUNDS
+        assert trace.counts.shape == (rounds + 1, 3) and trace.counts.dtype == np.int64
+        assert (trace.counts[-1000:] == trace.counts[-1]).all()
+        assert peak < 32 * rounds, peak / rounds
+
     def test_early_stop_passes_a_repeat_with_a_tie_draw(self):
         # round 4 repeats round 2, but a tied player draws on the way and
         # the run leaves the repeat for full defection

@@ -724,12 +724,13 @@ def _kept_bytes(g):
 
 
 def test_edge_list_read_peak_memory(tmp_path):
-    """Reading a 100x100 torus allocates at most three times the arrays it
-    keeps: no list of tokens, and few per-arc int64 temporaries."""
+    """Reading a 100x100 torus allocates at most 2.25 times the arrays it
+    keeps: no list of tokens, and beside the parsed buffer one per-arc
+    int64 array, the sorted rows the door keeps."""
     path = str(tmp_path / "g.edges")
     write_edge_list(build_torus_grid(100, 100), path)
     g, peak = _traced_peak(lambda: read_edge_list(path))
-    assert peak <= 3 * _kept_bytes(g), peak / _kept_bytes(g)
+    assert peak <= 2.25 * _kept_bytes(g), peak / _kept_bytes(g)
 
 
 def test_torus_build_peak_memory():
@@ -745,9 +746,10 @@ def test_torus_build_peak_memory():
 
 
 def test_validation_peak_memory():
-    """The validating door checks a 100x100 torus within two and a half
-    times its ``indices`` for any row order: beside its input it holds the
-    sorted keys and the sorted reversed arcs."""
+    """The validating door checks a 100x100 torus within twice its
+    ``indices`` on sorted rows, where beside its input it holds only the
+    sorted reversed arcs it keeps, and within two and a half times on
+    other row orders, which hold the sorted keys too."""
     g = build_torus_grid(100, 100)
     rows = g.indices.reshape(-1, 4)
     orders = {"sorted": rows, "reversed": rows[:, ::-1],
@@ -756,7 +758,8 @@ def test_validation_peak_memory():
         indices = np.ascontiguousarray(ordered).ravel()
         built, peak = _traced_peak(lambda: Network(g.indptr, indices))
         assert np.array_equal(built.indices, g.indices), name
-        assert peak <= 2.5 * indices.nbytes, (name, peak / indices.nbytes)
+        bound = 2.0 if name == "sorted" else 2.5
+        assert peak <= bound * indices.nbytes, (name, peak / indices.nbytes)
 
 
 @given(seed=st.integers(0, 10_000))
