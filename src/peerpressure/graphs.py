@@ -43,14 +43,15 @@ class Network:
 
     ``Network(indptr, indices)`` is the validating door, for user input:
     it checks every condition above and raises ``ValueError`` naming the
-    first offending vertex or edge. Strictly rising rows cost one sort of
-    the reversed arcs ``v * n + u``, built in the array it keeps: reduced
+    first offending vertex or edge. Rows that do not strictly rise are
+    first ordered by one stable sort of the arc keys ``u * n + v``, which
+    brings repeats side by side. Every input then costs one sort of the
+    reversed arcs ``v * n + u``, built in the array it keeps: reduced
     modulo ``n`` they equal ``indices`` exactly when the arcs are
-    symmetric, and are stored. Any other input takes one stable sort of
-    the arc keys ``u * n + v``, which orders every row and brings repeats
-    side by side, and a sort of the reversed arcs. Beside its input the
-    door holds one per-arc int64 array on rising rows, two otherwise; the
-    stored ``indices`` is its own, ``indptr`` is kept as given when int64.
+    symmetric, and are stored. Only a failed check rebuilds the keys, to
+    name the smallest one-way arc. Beside its input the door holds one
+    per-arc int64 array on rising rows, two otherwise; the stored
+    ``indices`` is its own, ``indptr`` is kept as given when int64.
     :meth:`from_edges` and :func:`read_edge_list` sort their arcs once and
     hand this door sorted rows. The package's generators use the trusted
     door instead, ``Network._trusted`` (or ``_from_adjacency``), which
@@ -87,40 +88,35 @@ class Network:
         loops = np.flatnonzero(indices == src)
         if loops.size:
             raise ValueError(f"self-loop at vertex {src[loops[0]]}")
-        # Strictly rising rows repeat no arc. Their reversed arcs, sorted and
-        # reduced modulo n, equal indices only if every in-degree is the
+        if not ((indices[1:] > indices[:-1]) | (src[1:] != src[:-1])).all():
+            # One stable sort of the keys u * n + v orders every row and
+            # brings repeated neighbours side by side.
+            keys = src * n
+            keys += indices
+            keys.sort(kind="stable")
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if dup.size:
+                u, v = divmod(int(keys[dup[0]]), n)
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            keys %= n
+            indices = keys
+        # Rows now strictly rise, so no arc repeats. The reversed arcs, sorted
+        # and reduced modulo n, equal indices only if every in-degree is the
         # degree, so only if they are the sorted keys: the arcs are symmetric.
-        # Any other input, and every message, takes the key sort below.
-        if ((indices[1:] > indices[:-1]) | (src[1:] != src[:-1])).all():
-            reverse = src  # becomes v * n + u in place, 8192 arcs at a time
-            for lo in range(0, reverse.size, 8192):
-                reverse[lo:lo + 8192] += indices[lo:lo + 8192] * n
-            reverse.sort()
-            reverse %= n
-            if np.array_equal(reverse, indices):
-                self.indptr, self.indices, self.degrees = indptr, reverse, degrees
-                return
-            src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # Symmetric exactly when the reversed arcs are the same set.
-        reverse = indices * n
-        reverse += src
-        # src, non-decreasing, becomes the keys in place; one stable sort
-        # orders every row and brings repeated neighbours side by side, and
-        # timsort passes once over rows that are already sorted.
-        keys = src
-        keys *= n
-        keys += indices
-        keys.sort(kind="stable")
-        dup = np.flatnonzero(keys[1:] == keys[:-1])
-        if dup.size:
-            u, v = divmod(int(keys[dup[0]]), n)
-            raise ValueError(f"duplicate edge ({u}, {v})")
+        reverse = src  # becomes v * n + u in place, 8192 arcs at a time
+        for lo in range(0, reverse.size, 8192):
+            reverse[lo:lo + 8192] += indices[lo:lo + 8192] * n
         reverse.sort()
-        if not np.array_equal(keys, reverse):
-            u, v = divmod(int(np.setdiff1d(keys, reverse, assume_unique=True)[0]), n)
+        reverse %= n
+        if not np.array_equal(reverse, indices):
+            # name the smallest arc key u * n + v that no reversed arc matches
+            keys = np.repeat(np.arange(n, dtype=np.int64), degrees)
+            reverse = np.sort(indices * n + keys)
+            keys = keys * n + indices
+            match = reverse.take(np.searchsorted(reverse, keys), mode="clip") == keys
+            u, v = divmod(int(keys[match.argmin()]), n)
             raise ValueError(f"asymmetric edge ({u}, {v})")
-        keys %= n
-        self.indptr, self.indices, self.degrees = indptr, keys, degrees
+        self.indptr, self.indices, self.degrees = indptr, reverse, degrees
 
     @classmethod
     def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, connected: bool | None,
@@ -241,9 +237,10 @@ class Network:
         orders every row, and reducing it modulo ``n`` in place leaves the
         sorted ``indices``. Beside the buffer it makes one ``(m,)`` column,
         half a per-arc array. The result passes through the validating
-        constructor, which on these sorted rows sorts only the reversed
-        arcs, in the array it keeps. ``read_edge_list`` passes its parsed
-        file straight in.
+        constructor; these rows strictly rise unless an edge repeats, so
+        it skips the key sort and sorts only the reversed arcs, in the
+        array it keeps. ``read_edge_list`` passes its parsed file straight
+        in.
         """
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             u, v = edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist()
@@ -264,12 +261,16 @@ class Network:
 
 def _int64_array(values) -> np.ndarray:
     """``values`` as int64; a float that is no whole int64 (1.7, NaN, inf)
-    raises ``ValueError`` naming it instead of being truncated."""
+    or an integer past int64 (``2**63`` as uint64, a Python ``2**64``)
+    raises ``ValueError`` naming it instead of being truncated or wrapped."""
     array = np.asarray(values)
+    bad = ()
     if array.dtype.kind == "f":
         bad = np.flatnonzero((array != np.trunc(array)) | ~(np.abs(array) < 2.0 ** 63))
-        if bad.size:
-            raise ValueError(f"{array.flat[bad[0]]} is not a whole number in the int64 range")
+    elif array.dtype.kind in "uO":
+        bad = np.flatnonzero((array >= 2 ** 63) | (array < -2 ** 63))
+    if len(bad):
+        raise ValueError(f"{array.flat[bad[0]]} is not a whole number in the int64 range")
     return array.astype(np.int64, copy=False)
 
 

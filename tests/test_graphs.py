@@ -126,9 +126,13 @@ class TestNetworkValidation:
         (lambda: Network([0, 1, 2], [float("inf"), 0]), "inf"),
         (lambda: Network.from_edges(2, [(0, -float("inf"))]), "-inf"),
         (lambda: Network.from_edges(2, [(0, 1e300)]), "1e+300"),
+        (lambda: Network.from_edges(3, np.array([[0, 2**63]], dtype=np.uint64)),
+         "9223372036854775808"),
+        (lambda: Network([0, 1, 2], [0, 2**64]), "18446744073709551616"),
     ])
     def test_rejects_values_that_are_not_whole(self, build, value):
-        # the int64 cast would truncate them (1.7 -> 1) or warn (NaN, inf)
+        # the int64 cast would truncate them (1.7 -> 1), warn (NaN, inf),
+        # wrap them (2**63 as uint64) or overflow (2**64)
         with pytest.raises(ValueError, match=f"^{re.escape(value)} is not a whole number"):
             build()
 
@@ -200,6 +204,8 @@ class TestNetworkValidation:
     @settings(max_examples=300, deadline=None)
     @example([[1, 2, 2], [0], [0, 0]])  # sorted rows that a residue test alone accepts
     @example([[1, 2], [0], []])         # sorted rows with a one-way arc
+    @example([[], [], [0]])             # a one-way key past every reversed arc
+    @example([[2, 1], [0], []])         # an unsorted row with a one-way arc
     def test_door_matches_a_set_oracle(self, rows):
         """The door stores the sorted rows or raises the oracle's exact
         message, and leaves the caller's arrays as they were."""
@@ -749,7 +755,8 @@ def test_validation_peak_memory():
     """The validating door checks a 100x100 torus within twice its
     ``indices`` on sorted rows, where beside its input it holds only the
     sorted reversed arcs it keeps, and within two and a half times on
-    other row orders, which hold the sorted keys too."""
+    other row orders, which hold the sorted keys too. With one one-way arc
+    it names that arc within six and a half times ``indices``."""
     g = build_torus_grid(100, 100)
     rows = g.indices.reshape(-1, 4)
     orders = {"sorted": rows, "reversed": rows[:, ::-1],
@@ -760,6 +767,19 @@ def test_validation_peak_memory():
         assert np.array_equal(built.indices, g.indices), name
         bound = 2.0 if name == "sorted" else 2.5
         assert peak <= bound * indices.nbytes, (name, peak / indices.nbytes)
+        # vertex 1 no longer lists vertex 0, so the arc (0, 1) is one-way
+        one_way = np.delete(indices, 4 + np.flatnonzero(indices[4:8] == 0)[0])
+        indptr = g.indptr - (np.arange(g.indptr.size) >= 2)
+
+        def message():
+            try:
+                Network(indptr, one_way)
+            except ValueError as error:
+                return str(error)
+
+        said, peak = _traced_peak(message)
+        assert said == "asymmetric edge (0, 1)", name
+        assert peak <= 6.5 * one_way.nbytes, (name, peak / one_way.nbytes)
 
 
 @given(seed=st.integers(0, 10_000))
