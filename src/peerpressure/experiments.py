@@ -71,6 +71,9 @@ class NetworkSpec:
     def build(self, seed: np.random.SeedSequence | int | None = None) -> Network:
         try:
             if self.kind == "torus":
+                # a built torus holds only its shape, but every use of it holds
+                # a byte per vertex: one that cannot is refused here, at once
+                np.empty(self.width * self.height, dtype=np.uint8)
                 return build_torus_grid(self.width, self.height)
             if seed is None:
                 raise ValueError("sampling a regular network requires a seed")

@@ -6,12 +6,12 @@ neighbour lists ``indices``. A network has two doors. The public
 constructor, :meth:`Network.from_edges` and :func:`read_edge_list` take
 user input and reject self-loops, duplicate edges and asymmetric input
 with array operations. The package's own generators, whose arrays are
-right by construction, build through ``Network._trusted``, which checks
-nothing. Two generators are provided: a wrap-around grid where every
-vertex has exactly four neighbours, and a random d-regular sampler that
-pairs deficient vertices uniformly at random until no legal pair remains,
-discarding the few left-over vertices so the result is d-regular by
-construction.
+right by construction, check nothing. Two generators are provided: a
+wrap-around grid where every vertex has exactly four neighbours, which
+holds only its shape until its arrays are read, and a random d-regular
+sampler that pairs deficient vertices uniformly at random until no legal
+pair remains, discarding the few left-over vertices so the result is
+d-regular by construction.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# Vertices whose rows torus recognition compares at once.
+_COMPARE_ROWS = 1 << 12
 
 
 class GenerationError(RuntimeError):
@@ -53,7 +57,7 @@ class Network:
     per-arc int64 array on rising rows, two otherwise; the stored
     ``indices`` is its own, ``indptr`` is kept as given when int64.
     :meth:`from_edges` and :func:`read_edge_list` sort their arcs once and
-    hand this door sorted rows. The package's generators use the trusted
+    hand this door sorted rows. The verify suites' graphs use the trusted
     door instead, ``Network._trusted`` (or ``_from_adjacency``), which
     takes arrays already in final form and checks nothing.
 
@@ -64,6 +68,13 @@ class Network:
     cached; a recognised torus is connected and has closed-form metrics, so
     it is never searched, and :meth:`neighbour_counts` counts on it with a
     slice stencil.
+
+    A torus from :func:`build_torus_grid` holds only its shape: its
+    ``degrees`` is a zero-stride view of one 4, and ``vertex_count``,
+    ``edge_count``, the stencil, its metrics and :func:`write_edge_list`
+    read nothing else. It makes ``indptr`` and ``indices`` from
+    :func:`_torus_rows` when either is first read, and keeps them. Every
+    other network holds its arrays from construction.
     """
 
     indptr: np.ndarray
@@ -118,6 +129,18 @@ class Network:
             raise ValueError(f"asymmetric edge ({u}, {v})")
         self.indptr, self.indices, self.degrees = indptr, reverse, degrees
 
+    def __getattr__(self, name: str):
+        # Only a torus from build_torus_grid lacks its CSR arrays: it makes
+        # them on first read and keeps them. _torus is read from __dict__,
+        # because copy and unpickling look up attributes before any is set.
+        shape = self.__dict__.get("_torus")
+        if not shape or name not in ("indptr", "indices"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = shape[0] * shape[1]
+        self.indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int64)
+        self.indices = _torus_rows(*shape, 0, n).ravel()
+        return self.__dict__[name]
+
     @classmethod
     def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, connected: bool | None,
                  torus: tuple[int, ...] | None) -> "Network":
@@ -147,11 +170,11 @@ class Network:
 
     @property
     def vertex_count(self) -> int:
-        return self.indptr.size - 1
+        return self.degrees.size
 
     @property
     def edge_count(self) -> int:
-        return self.indices.size // 2
+        return 2 * self.vertex_count if self._torus else self.indices.size // 2
 
     def neighbors(self, u: int) -> list[int]:
         """The sorted neighbours of ``u`` as a plain list."""
@@ -185,8 +208,9 @@ class Network:
         from an edge list is recognised too: only a 4-regular network of at
         least 9 vertices is checked, its width is vertex 0's third-smallest
         neighbour (its sorted neighbours are ``1, width - 1, width, n -
-        width``), and every row must then equal the torus's. Checked on the
-        first call; every later call reads the cache. This layout is what
+        width``), and every row must then equal the torus's, compared a
+        block of rows at a time. Checked on the first call; every later call
+        reads the cache. This layout is what
         :func:`_torus_rows` builds and what the stencil of
         :meth:`neighbour_counts` slices.
         """
@@ -196,8 +220,11 @@ class Network:
             if n >= 9 and (self.degrees == 4).all():
                 width = int(self.indices[2])
                 height = n // width
-                if (width >= 3 and height >= 3 and width * height == n
-                        and np.array_equal(_torus_rows(width, height).ravel(), self.indices)):
+                rows = self.indices.reshape(n, 4)
+                if width >= 3 and height >= 3 and width * height == n and all(
+                        np.array_equal(_torus_rows(width, height, lo, min(lo + _COMPARE_ROWS, n)),
+                                       rows[lo:lo + _COMPARE_ROWS])
+                        for lo in range(0, n, _COMPARE_ROWS)):
                     self._torus = (width, height)
         return self._torus or None
 
@@ -262,7 +289,9 @@ class Network:
 def _int64_array(values) -> np.ndarray:
     """``values`` as int64; a float that is no whole int64 (1.7, NaN, inf)
     or an integer past int64 (``2**63`` as uint64, a Python ``2**64``)
-    raises ``ValueError`` naming it instead of being truncated or wrapped."""
+    raises ``ValueError`` naming it instead of being truncated or wrapped.
+    The name is the caller's own number: a list mixing ``-1`` or ``0`` with
+    ``2**63`` reaches numpy as float64, which would round it."""
     array = np.asarray(values)
     bad = ()
     if array.dtype.kind == "f":
@@ -270,7 +299,8 @@ def _int64_array(values) -> np.ndarray:
     elif array.dtype.kind in "uO":
         bad = np.flatnonzero((array >= 2 ** 63) | (array < -2 ** 63))
     if len(bad):
-        raise ValueError(f"{array.flat[bad[0]]} is not a whole number in the int64 range")
+        value = np.asarray(values, dtype=object).flat[bad[0]]
+        raise ValueError(f"{value} is not a whole number in the int64 range")
     return array.astype(np.int64, copy=False)
 
 
@@ -303,44 +333,46 @@ def build_torus_grid(width: int, height: int) -> Network:
     """Wrap-around rectangular grid; every vertex has exactly 4 neighbours.
 
     Vertex (x, y) has index ``x + y * width`` and is adjacent to
-    (x +/- 1 mod width, y) and (x, y +/- 1 mod height). The sorted rows of
-    :func:`_torus_rows`, made without a per-row sort, are final CSR arrays,
-    so the network is built through the trusted door without validation or
-    a sort, holding one ``(n,)`` temporary beside what it keeps, marked
-    connected, and carries its shape: :meth:`Network.torus_shape` returns
-    ``(width, height)`` without a check. Both dimensions must be at least 3,
-    otherwise wrap-around neighbours would coincide and the graph would
-    not be simple and 4-regular.
+    (x +/- 1 mod width, y) and (x, y +/- 1 mod height). The network is
+    marked connected and holds only its shape, with no per-vertex or
+    per-arc array: :meth:`Network.torus_shape` returns ``(width, height)``
+    without a check, ``degrees`` is a zero-stride view, and the CSR arrays
+    are made from the sorted rows of :func:`_torus_rows`, without
+    validation or a sort, only when ``indptr`` or ``indices`` is first
+    read. Both dimensions must be at least 3, otherwise wrap-around
+    neighbours would coincide and the graph would not be simple and
+    4-regular.
     """
     if width < 3 or height < 3:
         raise ValueError(f"torus dimensions must be >= 3, got {width}x{height}")
-    n = width * height
-    return Network._trusted(np.arange(0, 4 * n + 1, 4, dtype=np.int64),
-                            _torus_rows(width, height).ravel(), True, (width, height))
+    torus = Network.__new__(Network)
+    torus.degrees = np.broadcast_to(np.int64(4), width * height)
+    torus._connected, torus._torus = True, (width, height)
+    return torus
 
 
-def _torus_rows(width: int, height: int) -> np.ndarray:
-    """The ``(n, 4)`` neighbours of the row-major torus, each row sorted:
-    row ``x + y * width`` holds the neighbours at x +/- 1 and y +/- 1.
+def _torus_rows(width: int, height: int, lo: int, hi: int) -> np.ndarray:
+    """The ``(hi - lo, 4)`` neighbours of vertices ``lo..hi-1`` of the
+    row-major torus, each row sorted: row ``x + y * width`` holds the
+    neighbours at x +/- 1 and y +/- 1.
 
     An interior row is ``v - width, v - 1, v + 1, v + width``, already in
-    order, so the rows are filled that way without a sort; only the ``2 *
-    width + 2 * height - 4`` rim rows (first and last row and column) wrap,
-    and they alone are recomputed and sorted. Beside the result it holds
-    one ``(n,)`` array.
+    order, so the rows are filled that way without a sort; only the rim
+    rows (first and last row and column) wrap, and they alone are
+    recomputed and sorted. Beside the result it holds one ``(hi - lo,)``
+    array.
     """
     n = width * height
-    rows = np.repeat(np.arange(n, dtype=np.int64), 4).reshape(n, 4)
-    rows += (-width, -1, 1, width)
-    top = np.arange(width, dtype=np.int64)
-    left = np.arange(width, n - width, width, dtype=np.int64)
-    rim = np.concatenate([top, top + n - width, left, left + width - 1])
+    rows = np.arange(lo, hi, dtype=np.int64)[:, None] + np.array([-width, -1, 1, width])
+    rim = np.concatenate([np.arange(lo, min(hi, width)), np.arange(max(lo, n - width), hi),
+                          np.arange(lo + -lo % width, hi, width),
+                          np.arange(lo + (-lo - 1) % width, hi, width)])
     x = rim % width
     y = rim - x
     wrapped = np.stack([(x + 1) % width + y, (x - 1) % width + y,
                         (y + width) % n + x, (y - width) % n + x], axis=1)
     wrapped.sort(axis=1)
-    rows[rim] = wrapped
+    rows[rim - lo] = wrapped
     return rows
 
 
@@ -509,7 +541,6 @@ def compute_metrics(network: Network) -> GraphMetrics:
     if not network.is_connected():
         raise ValueError("metrics require a connected network")
 
-    indptr, indices = network.indptr, network.indices
     diameter = 0
     odd_girth: int | None = None
     odd_level = np.zeros(n, dtype=bool)  # vertices at odd distance from vertex 0
@@ -523,6 +554,7 @@ def compute_metrics(network: Network) -> GraphMetrics:
     # and in a connected network only a single vertex has one; its metrics
     # are the initial values.
     for base in range(0, n if n > 1 and shape is None else 0, 64):
+        indptr, indices = network.indptr, network.indices
         chunk = min(64, n - base)
         front = np.zeros(n, dtype=np.uint64)
         front[base:base + chunk] = np.uint64(1) << np.arange(chunk, dtype=np.uint64)
@@ -554,24 +586,28 @@ def compute_metrics(network: Network) -> GraphMetrics:
 # ---------------------------------------------------------------------------
 
 
-# Vertices whose edges are formatted at once by write_edge_list.
-_WRITE_ROWS = 1 << 12
+# Vertices whose edges write_edge_list formats at once; the Python ints,
+# tuple and text of a block take about 200 bytes per edge.
+_WRITE_ROWS = 1 << 10
 
 
 def write_edge_list(network: Network, path: str) -> None:
     """Write ``n m`` then one ``u v`` line per edge, 0-based, in the order
     of :meth:`Network.edges`.
 
-    The lines are formatted straight from the CSR arrays, a block of rows
-    at a time, so no Python list of every edge is built.
+    The lines are formatted a block of rows at a time, so no Python list of
+    every edge is built: from the CSR arrays, or on a network whose
+    :meth:`Network.torus_shape` is known from :func:`_torus_rows`, so a
+    built torus never makes its arrays.
     """
-    n, indptr, indices = network.vertex_count, network.indptr, network.indices
+    n, shape = network.vertex_count, network._torus
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{n} {network.edge_count}\n")
         for start in range(0, n, _WRITE_ROWS):
             stop = min(start + _WRITE_ROWS, n)
             src = np.repeat(np.arange(start, stop), network.degrees[start:stop])
-            dst = indices[indptr[start]:indptr[stop]]
+            dst = (_torus_rows(*shape, start, stop).ravel() if shape else
+                   network.indices[network.indptr[start]:network.indptr[stop]])
             keep = src < dst
             pairs = np.stack([src[keep], dst[keep]], axis=1).ravel().tolist()
             fh.write(("%d %d\n" * (len(pairs) // 2)) % tuple(pairs))

@@ -12,6 +12,7 @@ from peerpressure import (
     RuleKind,
     SweepSpec,
     UpdateRule,
+    build_torus_grid,
     derived_seed,
     format_sweep_csv,
     render_ppm,
@@ -130,6 +131,21 @@ class TestRunTimeEvolution:
         _, trace = run_time_evolution(torus5, grid_params, 0.3,
                                       UpdateRule.main_no_hypocrisy(), 4, 3)
         assert trace.counts[0, 1] == 0  # no hypocrites in a binary start
+
+    def test_paper_size_torus_makes_no_per_arc_array(self):
+        # a built 1000x1000 torus is a shape: the whole run, build included,
+        # peaks below one int64 per arc (4,000,000 arcs)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            _, trace = run_time_evolution(build_torus_grid(1000, 1000), MainParams(0.1, 0.23, 0.45),
+                                          0.01, UpdateRule.main_greedy(), 0, 200, early_stop=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.counts[-1].tolist() == [0, 0, 10**6]
+        assert peak < 4 * 10**6 * 8 / 2, peak
 
     def test_noisy_smoke(self, grid_params):
         # relaxed revision keeps running and conserves players

@@ -1,5 +1,7 @@
 """Networks, generators, metrics, and the edge-list format."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -129,6 +131,11 @@ class TestNetworkValidation:
         (lambda: Network.from_edges(3, np.array([[0, 2**63]], dtype=np.uint64)),
          "9223372036854775808"),
         (lambda: Network([0, 1, 2], [0, 2**64]), "18446744073709551616"),
+        # numpy reads these lists as float64, which rounds the integer
+        pytest.param(lambda: Network([0, 1, 2], [0, 2**63]), "9223372036854775808",
+                     id="list-0-2**63"),
+        pytest.param(lambda: Network([0, 1, 2], [-1, 2**63]), "9223372036854775808",
+                     id="list-minus-1-2**63"),
     ])
     def test_rejects_values_that_are_not_whole(self, build, value):
         # the int64 cast would truncate them (1.7 -> 1), warn (NaN, inf),
@@ -282,9 +289,15 @@ class TestTorus:
 
         shapes = [(w, h) for w in range(3, 40) for h in range(3, 40)]
         for w, h in shapes + [(50, 50), (301, 300)]:
-            got = _torus_rows(w, h)
-            assert got.dtype == np.int64 and got.shape == (w * h, 4), (w, h)
+            n = w * h
+            got = _torus_rows(w, h, 0, n)
+            assert got.dtype == np.int64 and got.shape == (n, 4), (w, h)
             assert np.array_equal(got, reference(w, h)), (w, h)
+            # ranges that start and end inside the first and last row and
+            # column make the same rows
+            cuts = sorted({0, 1, w - 1, w + 1, n // 2, n - w, n - 1, n})
+            blocks = [_torus_rows(w, h, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(blocks), got), (w, h)
 
     def test_neighbors_of_origin(self):
         g = build_torus_grid(4, 3)
@@ -314,6 +327,44 @@ class TestTorus:
         # ruled out once: later calls read the cache
         assert circulant._torus == ()
         assert Network([0, 0], []).torus_shape() is None
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda g: pickle.loads(pickle.dumps(g))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_shape_only_torus_round_trips(self, clone):
+        g = build_torus_grid(7, 5)
+        twin = clone(g)
+        # neither the original nor its copy has made its arrays
+        assert "indices" not in vars(g) and "indices" not in vars(twin)
+        assert twin.torus_shape() == (7, 5) and twin.is_connected()
+        assert (twin.vertex_count, twin.edge_count) == (35, 70)
+        # the arrays made on first read are the validating door's
+        want = Network.from_edges(35, [(x + y * 7, (x + 1) % 7 + y * 7) for y in range(5)
+                                       for x in range(7)]
+                                  + [(x + y * 7, x + (y + 1) % 5 * 7) for y in range(5)
+                                     for x in range(7)])
+        for name in ("indptr", "indices", "degrees"):
+            got = getattr(twin, name)
+            assert got.dtype == getattr(want, name).dtype == np.int64, name
+            assert np.array_equal(got, getattr(want, name)), name
+        assert "indices" in vars(twin) and "indices" not in vars(g)
+        # a torus that has made its arrays copies them too
+        made = clone(twin)
+        assert np.array_equal(made.indices, want.indices) and made.torus_shape() == (7, 5)
+
+    def test_recognition_compares_every_block(self):
+        # 70x70 is 4,900 vertices, more than one block of compared rows;
+        # two edges switched for two others in the last rows keep the
+        # network 4-regular but make it no torus
+        torus = build_torus_grid(70, 70)
+        edges = set(torus.edges())
+        assert torus.edge_count == len(edges) == 9800
+        last = 4900 - 70
+        edges ^= {(last, last + 1), (last + 2, last + 3), (last, last + 2), (last + 1, last + 3)}
+        switched = Network.from_edges(4900, sorted(edges))
+        assert set(switched.degrees.tolist()) == {4}
+        assert switched.torus_shape() is None and switched._torus == ()
+        assert Network(torus.indptr, torus.indices).torus_shape() == (70, 70)
 
     @given(w=st.integers(3, 10), h=st.integers(3, 10))
     @settings(max_examples=25, deadline=None)
@@ -740,15 +791,34 @@ def test_edge_list_read_peak_memory(tmp_path):
 
 
 def test_torus_build_peak_memory():
-    """A 100x100 torus is built within one and a half times the arrays it
-    keeps, and recognised within twice its ``indices``: its rows are made
-    without a per-row sort."""
-    g, peak = _traced_peak(lambda: build_torus_grid(100, 100))
+    """A built torus holds only its shape: a 1000x1000 one is built in
+    under 1 MB. A 100x100 torus makes its arrays, on first read, within one
+    and a half times what it keeps: its rows are made without a per-row
+    sort. A 300x300 torus is recognised from its arrays a block of rows at
+    a time, within a tenth of its ``indices``."""
+    g, peak = _traced_peak(lambda: build_torus_grid(1000, 1000))
+    assert peak < 1_000_000, peak
+    g = build_torus_grid(100, 100)
+    _, peak = _traced_peak(lambda: g.indices)
     assert peak <= 1.5 * _kept_bytes(g), peak / _kept_bytes(g)
+    g = build_torus_grid(300, 300)
     unmarked = Network(g.indptr, g.indices)
     shape, peak = _traced_peak(unmarked.torus_shape)
-    assert shape == (100, 100)
-    assert peak <= 2 * g.indices.nbytes, peak / g.indices.nbytes
+    assert shape == (300, 300)
+    assert peak <= 0.15 * g.indices.nbytes, peak / g.indices.nbytes
+
+
+def test_torus_write_peak_memory(tmp_path):
+    """A built 300x300 torus writes the bytes its arrays write, from its
+    shape, within a quarter of one per-arc int64 array: it never makes its
+    own."""
+    built, checked = str(tmp_path / "built.edges"), str(tmp_path / "checked.edges")
+    _, peak = _traced_peak(lambda: write_edge_list(build_torus_grid(300, 300), built))
+    t = build_torus_grid(300, 300)
+    write_edge_list(Network(t.indptr, t.indices), checked)
+    with open(built, "rb") as a, open(checked, "rb") as b:
+        assert a.read() == b.read()
+    assert peak < 0.25 * 4 * 90_000 * 8, peak / (4 * 90_000 * 8)
 
 
 def test_validation_peak_memory():
