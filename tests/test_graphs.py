@@ -353,18 +353,21 @@ class TestTorus:
         assert np.array_equal(made.indices, want.indices) and made.torus_shape() == (7, 5)
 
     def test_recognition_compares_every_block(self):
-        # 70x70 is 4,900 vertices, more than one block of compared rows;
-        # two edges switched for two others in the last rows keep the
+        # 100x100 is 10,000 vertices, more than one block of compared rows;
+        # two edges switched for two others in the last row keep the
         # network 4-regular but make it no torus
-        torus = build_torus_grid(70, 70)
+        from peerpressure.graphs import _COMPARE_ROWS
+
+        torus = build_torus_grid(100, 100)
+        assert _COMPARE_ROWS < 10_000
         edges = set(torus.edges())
-        assert torus.edge_count == len(edges) == 9800
-        last = 4900 - 70
+        assert torus.edge_count == len(edges) == 20_000
+        last = 10_000 - 100
         edges ^= {(last, last + 1), (last + 2, last + 3), (last, last + 2), (last + 1, last + 3)}
-        switched = Network.from_edges(4900, sorted(edges))
+        switched = Network.from_edges(10_000, sorted(edges))
         assert set(switched.degrees.tolist()) == {4}
         assert switched.torus_shape() is None and switched._torus == ()
-        assert Network(torus.indptr, torus.indices).torus_shape() == (70, 70)
+        assert Network(torus.indptr, torus.indices).torus_shape() == (100, 100)
 
     @given(w=st.integers(3, 10), h=st.integers(3, 10))
     @settings(max_examples=25, deadline=None)
@@ -795,7 +798,7 @@ def test_torus_build_peak_memory():
     under 1 MB. A 100x100 torus makes its arrays, on first read, within one
     and a half times what it keeps: its rows are made without a per-row
     sort. A 300x300 torus is recognised from its arrays a block of rows at
-    a time, within a tenth of its ``indices``."""
+    a time, within 0.15 times its ``indices``."""
     g, peak = _traced_peak(lambda: build_torus_grid(1000, 1000))
     assert peak < 1_000_000, peak
     g = build_torus_grid(100, 100)
