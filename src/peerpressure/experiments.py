@@ -11,7 +11,6 @@ independent of how many workers execute the cells.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -258,18 +257,10 @@ class PhaseDiagram:
             raise ValueError("behaviour fractions must sum to 1 per cell")
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_network(network: NetworkSpec, master_seed: int) -> Network:
-    # One network for the whole sweep, built once per process.
-    return network.build(derived_seed(master_seed))
-
-
-def _run_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
+def _run_cell(spec: SweepSpec, network: Network | NetworkSpec, i: int, j: int) -> np.ndarray:
+    # given a spec, run_time_evolution samples a network per repetition
     params = MainParams(e_h=float(spec.e_h_values()[i]),
                         rho_h=float(spec.rho_h_values()[j]), rho_d=spec.rho_d)
-    # given the spec, run_time_evolution samples a network per repetition
-    network = (spec.network if spec.fresh_network_per_repetition
-               else _shared_network(spec.network, spec.master_seed))
     total = np.zeros(3)
     for rep in range(spec.repetitions):
         _, trace = run_time_evolution(network, params, spec.epsilon, spec.rule,
@@ -284,12 +275,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> PhaseDiagram:
     Cell seeds are derived from the master seed and the cell's indices, so
     scheduling order cannot influence any cell's result; parallel runs
     only change wall-clock time. A pool gets at most one worker per cell.
+    The one network is built here, from ``derived_seed(master_seed)``, and
+    passed to every cell; a pool pickles it once per chunk of cells.
     """
     rows, cols = zip(*itertools.product(range(spec.e_h_count), range(spec.rho_h_count)))
-    specs = itertools.repeat(spec)  # map stops at the shortest sequence
+    network = (spec.network if spec.fresh_network_per_repetition
+               else spec.network.build(derived_seed(spec.master_seed)))
+    # map stops at the shortest sequence
+    cells = (itertools.repeat(spec), itertools.repeat(network), rows, cols)
     workers = min(workers, len(rows))  # a pool starts all its workers at once
     if workers <= 1:
-        results = list(map(_run_cell, specs, rows, cols))
+        results = list(map(_run_cell, *cells))
     else:
         # imported here: a run that needs no pool does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -297,7 +293,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> PhaseDiagram:
         # the pool shuts down (and its workers exit) even when a cell raises
         with ProcessPoolExecutor(max_workers=workers) as executor:
             chunk = max(1, len(rows) // (workers * 8))
-            results = list(executor.map(_run_cell, specs, rows, cols, chunksize=chunk))
+            results = list(executor.map(_run_cell, *cells, chunksize=chunk))
     return PhaseDiagram(e_h_values=spec.e_h_values(), rho_h_values=spec.rho_h_values(),
                         fractions=np.array(results).reshape(spec.e_h_count, spec.rho_h_count, 3))
 

@@ -24,6 +24,8 @@ import numpy as np
 
 # Vertices whose rows torus recognition compares at once.
 _COMPARE_ROWS = 1 << 13
+# The int64 4 that each read of a shape-only torus's degrees views.
+_FOUR = np.int64(4).tobytes()
 
 
 class GenerationError(RuntimeError):
@@ -69,20 +71,21 @@ class Network:
     it is never searched, and :meth:`neighbour_counts` counts on it with a
     slice stencil.
 
-    A torus from :func:`build_torus_grid` holds only its shape: its
-    ``degrees`` is a zero-stride view of one 4, and ``vertex_count``,
-    ``edge_count``, the stencil, its metrics and :func:`write_edge_list`
-    read nothing else. It makes ``indptr`` and ``indices`` from
-    :func:`_torus_rows` when either is first read, and keeps them. Every
-    other network holds its arrays from construction.
+    A torus from :func:`build_torus_grid` holds only its shape, and so do
+    its copies and pickles: each read of ``degrees`` is a new read-only
+    zero-stride view of one 4, and ``vertex_count``, ``edge_count``, the
+    stencil, its metrics, its repr and :func:`write_edge_list` read nothing
+    else. It makes ``indptr`` and ``indices`` from :func:`_torus_rows` when
+    either is first read, and keeps them. Other networks hold their arrays
+    from construction.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    degrees: np.ndarray = field(init=False, repr=False)
-    _connected: bool | None = field(default=None, init=False, repr=False)
+    degrees: np.ndarray = field(init=False)
+    _connected: bool | None = field(default=None, init=False)
     #: (width, height) once recognised as a torus, () once ruled out.
-    _torus: tuple[int, ...] | None = field(default=None, init=False, repr=False)
+    _torus: tuple[int, ...] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         indptr = _int64_array(self.indptr)
@@ -130,16 +133,25 @@ class Network:
         self.indptr, self.indices, self.degrees = indptr, reverse, degrees
 
     def __getattr__(self, name: str):
-        # Only a torus from build_torus_grid lacks its CSR arrays: it makes
-        # them on first read and keeps them. _torus is read from __dict__,
-        # because copy and unpickling look up attributes before any is set.
+        # Only a torus from build_torus_grid lacks its arrays: it views
+        # _FOUR as degrees, and makes its CSR arrays on first read and keeps
+        # them. _torus is read from __dict__, because copy and unpickling
+        # look up attributes before any is set.
         shape = self.__dict__.get("_torus")
-        if not shape or name not in ("indptr", "indices"):
+        if not shape or name not in ("degrees", "indptr", "indices"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n = shape[0] * shape[1]
+        if name == "degrees":
+            return np.ndarray(n, np.int64, _FOUR, strides=(0,))
         self.indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int64)
         self.indices = _torus_rows(*shape, 0, n).ravel()
         return self.__dict__[name]
+
+    def __repr__(self) -> str:
+        # a shape-only torus names its shape rather than make its arrays
+        if "indices" not in self.__dict__:
+            return f"build_torus_grid{self._torus}"
+        return f"{type(self).__name__}(indptr={self.indptr!r}, indices={self.indices!r})"
 
     @classmethod
     def _trusted(cls, indptr: np.ndarray, indices: np.ndarray) -> "Network":
@@ -332,10 +344,10 @@ def build_torus_grid(width: int, height: int) -> Network:
 
     Vertex (x, y) has index ``x + y * width`` and is adjacent to
     (x +/- 1 mod width, y) and (x, y +/- 1 mod height). The network is
-    marked connected and holds only its shape, with no per-vertex or
-    per-arc array: :meth:`Network.torus_shape` returns ``(width, height)``
-    without a check, ``degrees`` is a zero-stride view, and the CSR arrays
-    are made from the sorted rows of :func:`_torus_rows`, without
+    marked connected and holds only its shape, with no array:
+    :meth:`Network.torus_shape` returns ``(width, height)`` without a
+    check, each read of ``degrees`` makes a zero-stride view, and the CSR
+    arrays are made from the sorted rows of :func:`_torus_rows`, without
     validation or a sort, only when ``indptr`` or ``indices`` is first
     read. Both dimensions must be at least 3, otherwise wrap-around
     neighbours would coincide and the graph would not be simple and
@@ -344,7 +356,6 @@ def build_torus_grid(width: int, height: int) -> Network:
     if width < 3 or height < 3:
         raise ValueError(f"torus dimensions must be >= 3, got {width}x{height}")
     torus = Network.__new__(Network)
-    torus.degrees = np.broadcast_to(np.int64(4), width * height)
     torus._connected, torus._torus = True, (width, height)
     return torus
 
@@ -600,14 +611,14 @@ def write_edge_list(network: Network, path: str) -> None:
     The lines are formatted a block of rows at a time, so no Python list of
     every edge is built: from the CSR arrays, or on a network whose
     :meth:`Network.torus_shape` is known from :func:`_torus_rows`, so a
-    built torus never makes its arrays.
+    built torus never makes its arrays. ``degrees`` is read once.
     """
-    n, shape = network.vertex_count, network._torus
+    degrees, shape = network.degrees, network._torus
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{n} {network.edge_count}\n")
-        for start in range(0, n, _WRITE_ROWS):
-            stop = min(start + _WRITE_ROWS, n)
-            src = np.repeat(np.arange(start, stop), network.degrees[start:stop])
+        fh.write(f"{degrees.size} {network.edge_count}\n")
+        for start in range(0, degrees.size, _WRITE_ROWS):
+            stop = min(start + _WRITE_ROWS, degrees.size)
+            src = np.repeat(np.arange(start, stop), degrees[start:stop])
             dst = (_torus_rows(*shape, start, stop).ravel() if shape else
                    network.indices[network.indptr[start]:network.indptr[stop]])
             keep = src < dst

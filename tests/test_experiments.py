@@ -275,15 +275,39 @@ class TestRunSweep:
         assert np.allclose(diagram.fractions.sum(axis=2), 1.0)
 
 
+    def test_one_network_per_sweep(self, monkeypatch, tmp_path):
+        # the calling process builds the sweep's network once and passes it
+        # to every cell, so a pool's workers build none; each build logs its
+        # process to a file that forked workers append to as well
+        import os
+
+        log, build = tmp_path / "builds", NetworkSpec.build
+
+        def logged(self, seed=None):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(self, seed)
+
+        monkeypatch.setattr(NetworkSpec, "build", logged)
+        spec = _tiny_spec(network=NetworkSpec(kind="regular", n=16, degree=3),
+                          e_h_count=2, rho_h_count=2)
+        csvs = []
+        for workers in (1, 2):
+            log.write_text("")
+            csvs.append(format_sweep_csv(run_sweep(spec, workers=workers)))
+            assert log.read_text().split() == [str(os.getpid())], workers
+        assert csvs[0] == csvs[1]
+
     def test_failing_cell_leaves_no_worker_behind(self):
-        # no connected 1-regular graph on 4 vertices exists, so every
-        # worker's first cell raises while building the shared network
+        # no connected 1-regular graph on 4 vertices exists, so with a fresh
+        # network per repetition every worker's first cell raises building it
         import multiprocessing
 
         from peerpressure import GenerationError
 
         spec = _tiny_spec(network=NetworkSpec(kind="regular", n=4, degree=1),
-                          e_h_count=2, rho_h_count=2, rounds=1, repetitions=1)
+                          e_h_count=2, rho_h_count=2, rounds=1, repetitions=1,
+                          fresh_network_per_repetition=True)
         with pytest.raises(GenerationError):
             run_sweep(spec, workers=2)
         assert multiprocessing.active_children() == []

@@ -334,8 +334,12 @@ class TestTorus:
     def test_shape_only_torus_round_trips(self, clone):
         g = build_torus_grid(7, 5)
         twin = clone(g)
-        # neither the original nor its copy has made its arrays
-        assert "indices" not in vars(g) and "indices" not in vars(twin)
+        # neither the original nor its copy holds anything but its shape
+        assert set(vars(g)) == set(vars(twin)) == {"_connected", "_torus"}
+        degrees = twin.degrees
+        assert degrees.dtype == np.int64 and not degrees.flags.writeable
+        assert degrees.tolist() == [4] * 35 and "degrees" not in vars(twin)
+        assert len(pickle.dumps(clone(build_torus_grid(1000, 1000)))) < 1_000
         assert twin.torus_shape() == (7, 5) and twin.is_connected()
         assert (twin.vertex_count, twin.edge_count) == (35, 70)
         # the arrays made on first read are the validating door's
@@ -347,10 +351,11 @@ class TestTorus:
             got = getattr(twin, name)
             assert got.dtype == getattr(want, name).dtype == np.int64, name
             assert np.array_equal(got, getattr(want, name)), name
-        assert "indices" in vars(twin) and "indices" not in vars(g)
-        # a torus that has made its arrays copies them too
+        assert "indices" in vars(twin) and set(vars(g)) == {"_connected", "_torus"}
+        # a torus that has made its arrays copies them too, and no degrees
         made = clone(twin)
         assert np.array_equal(made.indices, want.indices) and made.torus_shape() == (7, 5)
+        assert "degrees" not in vars(twin) and "degrees" not in vars(made)
 
     def test_recognition_compares_every_block(self):
         # 100x100 is 10,000 vertices, more than one block of compared rows;
@@ -794,12 +799,16 @@ def test_edge_list_read_peak_memory(tmp_path):
 
 
 def test_torus_build_peak_memory():
-    """A built torus holds only its shape: a 1000x1000 one is built in
-    under 1 MB. A 100x100 torus makes its arrays, on first read, within one
-    and a half times what it keeps: its rows are made without a per-row
-    sort. A 300x300 torus is recognised from its arrays a block of rows at
-    a time, within 0.15 times its ``indices``."""
+    """A built torus holds only its shape: a 1000x1000 one is built, and
+    its repr made, in under 1 MB each, and neither makes its arrays. A
+    100x100 torus makes its arrays, on first read, within one and a half
+    times what it keeps: its rows are made without a per-row sort. A
+    300x300 torus is recognised from its arrays a block of rows at a time,
+    within 0.15 times its ``indices``."""
     g, peak = _traced_peak(lambda: build_torus_grid(1000, 1000))
+    assert peak < 1_000_000, peak
+    said, peak = _traced_peak(lambda: repr(g))
+    assert said == "build_torus_grid(1000, 1000)" and "indices" not in vars(g)
     assert peak < 1_000_000, peak
     g = build_torus_grid(100, 100)
     _, peak = _traced_peak(lambda: g.indices)
