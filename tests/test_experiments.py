@@ -274,7 +274,6 @@ class TestRunSweep:
         diagram = run_sweep(spec, workers=1)
         assert np.allclose(diagram.fractions.sum(axis=2), 1.0)
 
-
     def test_one_network_per_sweep(self, monkeypatch, tmp_path):
         # the calling process builds the sweep's network once and passes it
         # to every cell, so a pool's workers build none; each build logs its

@@ -4,6 +4,8 @@ parameters and cached functions are counted."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import peerpressure
 
 # Function parameters with a default value, across the whole package.
@@ -23,10 +25,12 @@ def _defaulted(tree: ast.AST):
                 yield getattr(node, "name", "<lambda>"), count
 
 
-def _sources():
-    sources = sorted(Path(peerpressure.__file__).parent.glob("*.py"))
-    assert sources
-    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+@pytest.fixture(scope="module")
+def sources():
+    """Each module of the package by name, parsed once for both counts."""
+    paths = sorted(Path(peerpressure.__file__).parent.glob("*.py"))
+    assert paths
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
 def _cached(tree: ast.AST):
@@ -40,9 +44,9 @@ def _cached(tree: ast.AST):
                     yield node.name
 
 
-def test_defaulted_parameters_do_not_grow():
+def test_defaulted_parameters_do_not_grow(sources):
     found = [(f"{module}.py", name, count)
-             for module, tree in _sources().items()
+             for module, tree in sources.items()
              for name, count in _defaulted(tree)]
     total = sum(count for _, _, count in found)
     assert total <= MAX_DEFAULTED_PARAMETERS, f"{total} defaulted parameters: {found}"
@@ -50,8 +54,8 @@ def test_defaulted_parameters_do_not_grow():
     assert ("dynamics.py", "run", 2) in found
 
 
-def test_no_module_cache_but_the_known_ones():
+def test_no_module_cache_but_the_known_ones(sources):
     # a cache is module state that outlives a call: a new one must be named here
-    found = {f"{module}.{name}" for module, tree in _sources().items()
+    found = {f"{module}.{name}" for module, tree in sources.items()
              for name in _cached(tree)}
     assert found == CACHED_FUNCTIONS
