@@ -285,22 +285,21 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
     :func:`decision_table`) and adopts one, resolving
     exact-tie sets through ``ties``, a :class:`numpy.random.Generator` or
     any object whose ``random(size)`` returns the next ``size`` uniforms:
-    the noisy rule first takes ``ties.random(n)`` noise draws, then one
-    call takes a tie draw per tied player in ascending index. The choice is
-    ``table.tied[0, 0]`` plus the jumps of ``table.breakpoints``.
+    the noisy rule first takes ``ties.random(config.size)`` noise draws,
+    then one call takes a tie draw per tied player in ascending index. The
+    choice is ``table.tied[0, 0]`` plus the jumps of ``table.breakpoints``.
 
     ``step`` takes uniforms from ``ties`` only through ``random`` calls,
     and under a greedy rule only when some player's count is tied, so the
     uniforms handed out are its tie draws: :func:`run` counts them to tell
     a round that drew from one that did not.
 
-    ``step`` trusts its input: ``config`` must be an int8 array of valid
-    codes for the table's rule, and ``table`` must cover the network's
-    maximum degree.
+    ``step`` trusts its input and takes the round's size from ``config``,
+    an int8 array of valid codes for the table's rule, one per vertex;
+    ``table`` must cover the network's maximum degree.
     """
     rule = table.rule
     noisy = rule.kind is RuleKind.MAIN_NOISY
-    n = network.vertex_count
     k = punishing_counts(network, config)
     # the first breakpoint's jumps become the output, so no pass fills it
     out = None
@@ -313,12 +312,12 @@ def step(network: Network, config: np.ndarray, table: DecisionTable, ties) -> np
         else:
             out += jumped
     if out is None:
-        out = np.zeros(n, dtype=np.int8)
+        out = np.zeros(config.size, dtype=np.int8)
     if table.tied[0, 0]:
         out += table.tied[0, 0]
 
     if noisy:
-        noise = ties.random(n)
+        noise = ties.random(config.size)
         random_mask = noise > rule.p_greedy
 
     if table.is_tied.any():

@@ -239,7 +239,7 @@ class Network:
         return self._torus or None
 
     def neighbour_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Each vertex's number of neighbours in the boolean ``(n,)`` mask.
+        """Each vertex's number of masked neighbours, one per entry of ``mask``.
 
         A network whose :meth:`torus_shape` is known counts in ``uint8``
         with the slice stencil of :func:`_torus_counts`, whatever its size.
@@ -250,8 +250,7 @@ class Network:
         shape = self.torus_shape()
         if shape is not None:
             return _torus_counts(mask.view(np.uint8), *shape)
-        return np.bincount(self.indices[np.repeat(mask, self.degrees)],
-                           minlength=self.vertex_count)
+        return np.bincount(self.indices[np.repeat(mask, self.degrees)], minlength=mask.size)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Network":

@@ -25,6 +25,7 @@ from .model import (
     sample_initial_two_order,
 )
 from .dynamics import UpdateRule, decision_table, run, step
+from .experiments import derived_seed
 from .analysis import (
     PresetDraws,
     audit_convergence_bound,
@@ -131,7 +132,7 @@ def contagion_suite(seed: int, instances: int) -> list[InstanceOutcome]:
     the non-defector set must evolve as the exact neighbourhood map,
     every round of every run. Each run is ``2 * diameter + 3`` rounds on a
     connected graph of at most 200 vertices from the mixed families."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    rng = np.random.default_rng(derived_seed(seed, 101))
     outcomes = []
     for i in range(instances):
         g = _random_connected_network(rng, 200)
@@ -159,7 +160,7 @@ def reduction_suite(seed: int,
     trajectory equivalence at every round from 1, and extinction of
     private cooperation from round 1 on.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
+    rng = np.random.default_rng(derived_seed(seed, 202))
     equivalence = []
     extinction = []
     for i in range(instances):
@@ -190,7 +191,7 @@ def oracle_suite(seed: int, instances: int) -> list[InstanceOutcome]:
     and deliberately tie-rich parameter values; both steppers get the
     same preset draws, so exact agreement also pins the tie-draw order.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 303]))
+    rng = np.random.default_rng(derived_seed(seed, 303))
     tie_rich = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
     outcomes = []
     for i in range(instances):
@@ -232,7 +233,7 @@ def bound_suite(seed: int, instances: int) -> list[InstanceOutcome]:
     every instance; instances where it fails are recorded as inapplicable
     and pass vacuously, since the bound claims nothing there.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
+    rng = np.random.default_rng(derived_seed(seed, 404))
     outcomes = []
     for i in range(instances):
         g = _random_connected_network(rng, 60)
@@ -275,7 +276,7 @@ def oscillation_suite(seed: int) -> list[InstanceOutcome]:
         init[small] = Behavior.HYPOCRITICAL
         init[small + 1] = Behavior.COOPERATOR
         trace = run(g, init, params, UpdateRule.main_greedy(),
-                    np.random.default_rng(np.random.SeedSequence([seed, 505, idx])),
+                    np.random.default_rng(derived_seed(seed, 505, idx)),
                     max_rounds=52, record_snapshots=True)
         snaps = trace.snapshots
         alternates = bool(np.array_equal(snaps[2:-2], snaps[4:])
@@ -291,7 +292,7 @@ def odd_girth_suite(seed: int, instances: int) -> list[InstanceOutcome]:
     """Shortest odd cycle versus diameter on random non-bipartite graphs:
     the odd girth can never exceed twice the diameter plus one. Each
     instance is a connected non-bipartite G(n, p) graph of 5 to 60 vertices."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 606]))
+    rng = np.random.default_rng(derived_seed(seed, 606))
     outcomes = []
     for i in range(instances):
         while True:

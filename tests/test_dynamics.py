@@ -817,6 +817,29 @@ class TestPunishingPath:
             assert g.torus_shape() == shape, name
             assert set(calls) == ({shape} if stencil else set()), name
 
+    def test_a_round_asks_a_built_torus_for_nothing_but_counts(self, grid_params, monkeypatch):
+        # a shape-only torus answers degrees, and so vertex_count, through
+        # __getattr__; a round is sized by its configuration, so a run reads
+        # them a fixed number of times however many rounds it steps
+        shape_only_read = Network.__getattr__
+        reads = []
+
+        def counted(self, name):
+            reads.append(name)
+            return shape_only_read(self, name)
+
+        monkeypatch.setattr(Network, "__getattr__", counted)
+        init = np.random.default_rng(3).integers(0, 3, 35).astype(np.int8)
+        per_run = []
+        for rounds in (5, 50):
+            reads.clear()
+            # the noisy rule never settles, so every round steps
+            trace = run(build_torus_grid(7, 5), init, grid_params, UpdateRule.main_noisy(0.5),
+                        np.random.default_rng(4), rounds)
+            assert trace.rounds == rounds
+            per_run.append(len(reads))
+        assert per_run[0] == per_run[1], per_run
+
     @pytest.mark.parametrize("graph_name", ["regular", "torus", "torus60x50"])
     def test_no_per_arc_array_but_indices(self, graphs, graph_name, grid_params):
         g = graphs[graph_name]

@@ -8,8 +8,11 @@ changes only how long runs take, so every suite must pass it on every
 instance that a row fails. ``decision_table`` and
 ``suites._reduction_outcomes``, the package's only caches, are cleared
 around each row, so that no row reads a table or an outcome made before it
-or under another mutant.
+or under another mutant. The graph-side rows patch ``suites.compute_metrics``,
+which the contagion, bounds and odd-girth suites call.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -50,6 +53,22 @@ def _hypocrites_and_cooperators_swapped(stepped_counts):
     return mutant
 
 
+def _diameter_short_by_one(compute_metrics):
+    def mutant(network):
+        metrics = compute_metrics(network)
+        return dataclasses.replace(metrics, diameter=metrics.diameter - 1)
+    return mutant
+
+
+def _odd_girth_two_long(compute_metrics):
+    def mutant(network):
+        metrics = compute_metrics(network)
+        if metrics.odd_girth is None:
+            return metrics
+        return dataclasses.replace(metrics, odd_girth=metrics.odd_girth + 2)
+    return mutant
+
+
 def _settled_despite_draws(is_settled):
     return lambda old, old_counts, nxt, nxt_counts, draws: is_settled(
         old, old_counts, nxt, nxt_counts, 0)
@@ -83,6 +102,8 @@ def _failed(suite, instances):
                  id="no-first-column-wrap-bounds"),
     pytest.param(dynamics, "_stepped_counts", _hypocrites_and_cooperators_swapped, "bounds", 1,
                  id="stepped-counts-swapped"),
+    pytest.param(suites, "compute_metrics", _diameter_short_by_one, "bounds", 13,
+                 id="diameter-short-by-one"),
 ])
 def test_mutant_fails_its_suite(clear_caches, monkeypatch, module, name, mutate, suite,
                                 instances):
@@ -102,3 +123,13 @@ def test_is_settled_mutant_across_every_suite(clear_caches, monkeypatch, mutate,
     monkeypatch.setattr(dynamics, "is_settled", mutate(dynamics.is_settled))
     failed = {suite: _failed(suite, EVERY_SUITE_INSTANCES) for suite in suites.SUITES}
     assert any(failed.values()) == caught, failed
+
+
+@pytest.mark.xfail(strict=True, reason="the odd-girth suite checks only odd_girth <= 2 * diameter + 1, "
+                                       "which its graphs of odd girth 3 and diameter 2 or more meet "
+                                       "with room for two; no suite counts odd cycles independently")
+def test_odd_girth_mutant_across_the_metric_suites(clear_caches, monkeypatch):
+    monkeypatch.setattr(suites, "compute_metrics", _odd_girth_two_long(suites.compute_metrics))
+    failed = {suite: _failed(suite, EVERY_SUITE_INSTANCES)
+              for suite in ("contagion", "bounds", "odd-girth")}
+    assert any(failed.values()), failed
